@@ -24,6 +24,7 @@ import numpy as np
 from .blocktree import GameState, MINER1, MINER2, potential_reward
 from .strategies import (
     Engine,
+    _creator_stream,
     derive_seed,
     iter_cycles,
     make_strategy,
@@ -34,6 +35,7 @@ __all__ = [
     "DomainError",
     "NoSignChange",
     "NonRecurrent",
+    "BadThreadCount",
     "rev_frontier",
     "rev_sm_closed",
     "rev_nsm_closed",
@@ -68,6 +70,10 @@ class NoSignChange(ValueError):
 
 class NonRecurrent(RuntimeError):
     """A cycle or episode exceeded the round cap without settling."""
+
+
+class BadThreadCount(ValueError):
+    """POSMINE_THREADS is set to something other than an integer."""
 
 
 def _check_alpha(alpha: float) -> float:
@@ -234,7 +240,10 @@ def _liminf_one(args: tuple[str, float, int, int]) -> float:
 def _workers(threads: Optional[int]) -> int:
     if threads is None:
         env = os.environ.get("POSMINE_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
+        try:
+            threads = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise BadThreadCount(f"POSMINE_THREADS must be an integer, got {env!r}") from None
     return max(1, threads)
 
 
@@ -344,7 +353,7 @@ def mc_value(
     _check_alpha(alpha)
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)
-    rng = random.Random(seed)
+    creators = _creator_stream(alpha, seed)
     total = 0.0
     total_sq = 0.0
     for _ in range(episodes):
@@ -353,8 +362,7 @@ def mc_value(
         steps = 0
         capped = False
         while not capped:
-            creator = MINER1 if rng.random() < alpha else MINER2
-            _, _, r1, r2, capped = eng.play(creator)
+            _, _, r1, r2, capped = eng.play(next(creators))
             r1_sum += r1
             r2_sum += r2
             steps += 1
@@ -423,14 +431,10 @@ def potential_reward_decay_check(
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)
     eng = Engine(strategy)
-    rng = random.Random(seed)
+    stream = _creator_stream(alpha, seed, creators, rounds)
     tail_max = 0.0
     for i in range(1, rounds + 1):
-        if creators is not None:
-            creator = creators[i - 1]
-        else:
-            creator = MINER1 if rng.random() < alpha else MINER2
-        eng.play(creator)
+        eng.play(next(stream))
         if i > rounds // 2:
             ratio = potential_reward(eng.state) / i
             if ratio > tail_max:

@@ -4,7 +4,8 @@ One block is created per round and is labeled by its round number; genesis
 is block 0 and belongs to neither miner.  Within a round the creator is
 drawn first, the new block joins the creator's unpublished set, Miner 2
 acts, then Miner 1 acts.  Publishing attaches blocks to the tree; each
-published block points to exactly one strictly earlier block.
+published block points to exactly one strictly earlier block, and
+:func:`attach_action` is the one place an action is validated and attached.
 
 The longest chain is the path to the highest published block, with ties
 broken in favor of the block published first (publication order within a
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 GENESIS = 0
 MINER1 = 1
@@ -189,18 +190,22 @@ class GameState:
     Fields
     ------
     parent:        published non-genesis block -> the block it points to
-    published_at:  published block -> round of publication (genesis -> 0)
-    publish_order: round -> blocks published that round, in action order
     unpublished_1, unpublished_2: withheld blocks per miner
     creator:       block -> 0 (genesis), 1 or 2
     round:         last created block's label (absolute)
     offset:        absolute label the current genesis stands for
+
+    ``_pub_seq`` is the only publication record: published block ->
+    (round of publication, rank).  Ranks are 0 .. n-1 in publication order
+    (genesis first), so a new publish takes rank ``len(_pub_seq)``; clone,
+    capitulate and parse_statefile keep them dense, which keeps them
+    increasing within every round.  Tie-breaks and canonical comparison
+    read the order from it; the statefile's ``published`` column is its
+    round.  ``_heights``, ``_chain_m1`` and ``_tip`` are caches of the tree.
     """
 
     __slots__ = (
         "parent",
-        "published_at",
-        "publish_order",
         "unpublished_1",
         "unpublished_2",
         "creator",
@@ -215,8 +220,6 @@ class GameState:
 
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
-        self.published_at: dict[int, int] = {GENESIS: 0}
-        self.publish_order: dict[int, list[int]] = {0: [GENESIS]}
         self.unpublished_1: set[int] = set()
         self.unpublished_2: set[int] = set()
         self.creator: dict[int, int] = {GENESIS: 0}
@@ -257,8 +260,6 @@ class GameState:
     def clone(self) -> "GameState":
         s = GameState.__new__(GameState)
         s.parent = dict(self.parent)
-        s.published_at = dict(self.published_at)
-        s.publish_order = {r: list(v) for r, v in self.publish_order.items()}
         s.unpublished_1 = set(self.unpublished_1)
         s.unpublished_2 = set(self.unpublished_2)
         s.creator = dict(self.creator)
@@ -286,10 +287,7 @@ class GameState:
         owner = self.creator[b]
         self.unpublished(owner).discard(b)
         self.parent[b] = target
-        self.published_at[b] = self.round
-        slot = self.publish_order.setdefault(self.round, [])
-        self._pub_seq[b] = (self.round, len(slot))
-        slot.append(b)
+        self._pub_seq[b] = (self.round, len(self._pub_seq))
         h = self._heights[target] + 1
         self._heights[b] = h
         self._chain_m1[b] = self._chain_m1[target] + (1 if owner == MINER1 else 0)
@@ -315,9 +313,11 @@ def begin_round(state: GameState, creator: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class HalfState:
-    """Mid-round position handed to Miner 1: Miner 2 has already acted."""
+class HalfState(NamedTuple):
+    """Mid-round position handed to Miner 1: Miner 2 has already acted.
+
+    A named tuple rather than a frozen dataclass: the engine builds one
+    every round, and a tuple takes about half the time to construct."""
 
     state: GameState
     creator: int
@@ -361,19 +361,25 @@ def validate_action(state: GameState, miner: int, action: Action) -> Union[Wait,
     return flat
 
 
+def attach_action(state: GameState, miner: int, action: Action) -> Union[Wait, PublishSet]:
+    """Validate an action, attach its blocks to ``state`` in place (in
+    ascending label order) and return its desugared form."""
+    flat = validate_action(state, miner, action)
+    if not isinstance(flat, Wait):
+        parent_of = dict(flat.edges)
+        for b in sorted(flat.blocks):
+            state._publish_one(b, parent_of[b])
+    return flat
+
+
 def apply_action(state: GameState, miner: int, action: Action, *, in_place: bool = False) -> GameState:
     """Validate and apply an action; returns the successor state.
 
     By default the input state is left untouched and a modified copy is
-    returned; pass ``in_place=True`` to mutate (the simulation loop does).
+    returned; pass ``in_place=True`` to mutate.
     """
-    flat = validate_action(state, miner, action)
     target_state = state if in_place else state.clone()
-    if isinstance(flat, Wait):
-        return target_state
-    parent_of = dict(flat.edges)
-    for b in sorted(flat.blocks):
-        target_state._publish_one(b, parent_of[b])
+    attach_action(target_state, miner, action)
     if __debug__:
         assert all(v > t for v, t in target_state.parent.items())
     return target_state
@@ -381,11 +387,6 @@ def apply_action(state: GameState, miner: int, action: Action, *, in_place: bool
 
 # ---------------------------------------------------------------------------
 # chain queries
-
-
-def longest_chain(state: GameState) -> int:
-    """Label of the longest chain's leaf (ties: first published wins)."""
-    return state._tip
 
 
 def height(state: GameState, b: int) -> int:
@@ -439,11 +440,6 @@ def reward(before: GameState, after: GameState, miner: int) -> int:
     return after.chain_owned(miner) - before.chain_owned(miner)
 
 
-def game_reward(before: GameState, after: GameState, lam: float) -> float:
-    """Weighted reward (1-lam) * r1 - lam * r2."""
-    return (1.0 - lam) * reward(before, after, MINER1) - lam * reward(before, after, MINER2)
-
-
 # ---------------------------------------------------------------------------
 # reachability, capitulation
 
@@ -463,18 +459,6 @@ def _max_reachable(state: GameState, b: int) -> int:
             if h > best:
                 best = h
     return best
-
-
-def can_reach_height(state: GameState, b: int, ell: int) -> bool:
-    """Can ``b`` sit at height >= ``ell``, now or after one publish by its owner?
-
-    Published blocks have a fixed height.  An unpublished block can be
-    stacked, together with the owner's other withheld blocks between some
-    published base and itself, on top of the highest suitable base.
-    """
-    if not state.knows(b):
-        raise UnknownBlock(b)
-    return _max_reachable(state, b) >= ell
 
 
 def capitulate(state: GameState, c: int) -> GameState:
@@ -511,15 +495,9 @@ def capitulate(state: GameState, c: int) -> GameState:
         target = anc if anc in keep_pub else GENESIS
         s.creator[v] = state.creator[v]
         s.parent[v] = target
-        s.published_at[v] = state.published_at[v]
-    # publication order of survivors is inherited from the original state
-    for r in sorted(state.publish_order):
-        kept = [b for b in state.publish_order[r] if b in keep_pub]
-        if kept:
-            slot = s.publish_order.setdefault(r, [])
-            for b in kept:
-                s._pub_seq[b] = (r, len(slot))
-                slot.append(b)
+    # survivors keep their publication order, re-ranked densely after genesis
+    for v in sorted(keep_pub, key=state._pub_seq.__getitem__):
+        s._pub_seq[v] = (state._pub_seq[v][0], len(s._pub_seq))
     _rebuild_caches(s)
     return s
 
@@ -625,61 +603,6 @@ def potential_reward_exhaustive(state: GameState, *, limit: int = 15) -> int:
 
 
 # ---------------------------------------------------------------------------
-# one full round
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    round: int
-    creator: int
-    miner2_action: Action
-    miner1_action: Action
-    tip: int
-    height: int
-    r1: int
-    r2: int
-
-
-Miner2Policy = Callable[[GameState, int, int], Action]
-Miner1Policy = Callable[[HalfState], Action]
-
-
-def step_round(
-    state: GameState,
-    creator: int,
-    miner2_policy: Miner2Policy,
-    miner1_policy: Miner1Policy,
-) -> tuple[GameState, RoundRecord]:
-    """Play one round in place: create, let Miner 2 act, then Miner 1.
-
-    ``miner2_policy(state, creator, block)`` and ``miner1_policy(half)``
-    return plain actions; both are validated.  Returns the same (mutated)
-    state plus a record of what happened.
-    """
-    t1_before = state.chain_owned(MINER1)
-    t2_before = state.chain_owned(MINER2)
-    n = begin_round(state, creator)
-    a2 = miner2_policy(state, creator, n)
-    if not isinstance(a2, Wait):
-        apply_action(state, MINER2, a2, in_place=True)
-    half = HalfState(state, creator, n)
-    a1 = miner1_policy(half)
-    if not isinstance(a1, Wait):
-        apply_action(state, MINER1, a1, in_place=True)
-    rec = RoundRecord(
-        round=n,
-        creator=creator,
-        miner2_action=a2,
-        miner1_action=a1,
-        tip=state._tip,
-        height=state.tip_height(),
-        r1=state.chain_owned(MINER1) - t1_before,
-        r2=state.chain_owned(MINER2) - t2_before,
-    )
-    return state, rec
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -688,7 +611,7 @@ def format_statefile(state: GameState) -> str:
     lines = [f"{STATEFILE_MAGIC} {STATEFILE_VERSION} round {state.round} offset {state.offset}"]
     for b in sorted(state.creator):
         par = state.parent.get(b)
-        pub = state.published_at.get(b)
+        pub = state._pub_seq[b][0] if b in state._pub_seq else None
         lines.append(
             "block {} creator {} parent {} published {}".format(
                 b,
@@ -724,8 +647,6 @@ def parse_statefile(text: str) -> GameState:
 
     s = GameState.__new__(GameState)
     s.parent = {}
-    s.published_at = {}
-    s.publish_order = {}
     s.unpublished_1 = set()
     s.unpublished_2 = set()
     s.creator = {}
@@ -751,8 +672,11 @@ def parse_statefile(text: str) -> GameState:
             raise StatefileError(i, f"creator must be 0, 1 or 2, got {who}")
         if (who == 0) != (b == GENESIS):
             raise StatefileError(i, "creator 0 is reserved for block 0")
-        par = None if parts[5] == "-" else int(parts[5])
-        pub = None if parts[7] == "-" else int(parts[7])
+        try:
+            par = None if parts[5] == "-" else int(parts[5])
+            pub = None if parts[7] == "-" else int(parts[7])
+        except ValueError:
+            raise StatefileError(i, "parent and published must be integers or '-'") from None
         if b == GENESIS:
             if par is not None:
                 raise StatefileError(i, "genesis cannot have a parent")
@@ -761,7 +685,6 @@ def parse_statefile(text: str) -> GameState:
             raise StatefileError(i, "parent and published must both be set or both be '-'")
         s.creator[b] = who
         if b == GENESIS:
-            s.published_at[b] = 0
             pub_round[b] = 0
         elif par is None:
             s.unpublished(who).add(b)
@@ -769,7 +692,6 @@ def parse_statefile(text: str) -> GameState:
             if par >= b:
                 raise StatefileError(i, f"parent {par} must be earlier than block {b}")
             s.parent[b] = par
-            s.published_at[b] = pub
             pub_round[b] = pub
 
     if GENESIS not in s.creator:
@@ -780,12 +702,8 @@ def parse_statefile(text: str) -> GameState:
     if any(b > s.round for b in s.creator):
         raise StatefileError(1, "a block label exceeds the round counter")
 
-    s._pub_seq = {}
-    for b in sorted(pub_round):
-        r = pub_round[b]
-        slot = s.publish_order.setdefault(r, [])
-        s._pub_seq[b] = (r, len(slot))
-        slot.append(b)
+    order = sorted(pub_round, key=lambda b: (pub_round[b], b))
+    s._pub_seq = {b: (pub_round[b], rank) for rank, b in enumerate(order)}
     _rebuild_caches(s)
     return s
 

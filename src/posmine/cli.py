@@ -8,7 +8,7 @@ full configuration, so a rerun with the same flags is byte-identical.
 from __future__ import annotations
 
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 
@@ -28,9 +28,9 @@ from .structure import (
 )
 from .reductions import lcm_reduce, orderly_reduce
 from .analysis import (
+    BadThreadCount,
     DomainError,
     NonRecurrent,
-    NoSignChange,
     RevenuePoint,
     mc_revenue_liminf,
     mc_revenue_renewal,
@@ -77,6 +77,24 @@ def _grid(spec: str) -> list[float]:
         x = lo + i * step
     pts.append(hi)
     return pts
+
+
+def _fail(code: int, message: str) -> NoReturn:
+    """Print a one-line error to stderr and exit with ``code``."""
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
+def _strategy(spec: str):
+    """``make_strategy``, exiting with 2 on a bad spec or an unreadable script."""
+    try:
+        return make_strategy(spec)
+    except ScriptError as e:
+        _fail(2, f"parse error: {e}")
+    except OSError as e:
+        _fail(2, f"usage error: cannot read {e.filename}: {e.strerror}")
+    except ValueError as e:
+        _fail(2, f"usage error: {e}")
 
 
 def _header(cmd: str, **config) -> list[str]:
@@ -159,6 +177,7 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
                     RevenuePoint(a, strategy_id, "closed_form", fn(a), seed=seed)
                 )
         else:
+            _strategy(strategy_id)  # reject a bad spec before simulating
             for a in alphas:
                 if cycles:
                     rows.append(mc_revenue_renewal(strategy_id, a, cycles, seed=seed))
@@ -172,9 +191,10 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
                     )
     except DomainError as e:
         raise click.UsageError(str(e))
+    except BadThreadCount as e:
+        _fail(2, f"usage error: {e}")
     except (NonRecurrent, BlockTreeError) as e:
-        click.echo(f"simulation failed: {e}", err=True)
-        sys.exit(1)
+        _fail(1, f"simulation failed: {e}")
     header = _header(
         "revenue",
         strategy=strategy_id,
@@ -197,15 +217,11 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
 @click.option("--emit-tree", "emit_tree", default=None, help="write final block tree as DOT")
 def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
     """Play one game and emit its per-round trace as CSV."""
+    strategy = _strategy(strategy_id)
     try:
-        strategy = make_strategy(strategy_id)
         trace = run_game(strategy, alpha, rounds, seed=seed)
-    except (ScriptError, StatefileError) as e:
-        click.echo(f"parse error: {e}", err=True)
-        sys.exit(2)
-    except (DomainError, BlockTreeError) as e:
-        click.echo(f"simulation failed: {e}", err=True)
-        sys.exit(1)
+    except BlockTreeError as e:
+        _fail(1, f"simulation failed: {e}")
     lines = _header(
         "simulate", strategy=strategy_id, alpha=alpha, rounds=rounds, seed=seed
     )
@@ -266,7 +282,7 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
     mon_fail: dict[str, str] = {}
     try:
         for g in range(games):
-            strategy = make_strategy(strategy_id)
+            strategy = _strategy(strategy_id)
             trace = run_game(strategy, alpha, rounds, seed=derive_seed(seed, g))
             report = classify_trace(trace).as_dict()
             for p in wanted:
@@ -284,9 +300,8 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
                 if not ov.holds and "checkpoint_override" not in mon_fail:
                     w = ov.violations[0]
                     mon_fail["checkpoint_override"] = f"game={g} round={w.round} {w.detail}"
-    except (ScriptError, StatefileError) as e:
-        click.echo(f"parse error: {e}", err=True)
-        sys.exit(2)
+    except BlockTreeError as e:
+        _fail(1, f"simulation failed: {e}")
     click.echo(f"strategy: {strategy_id}")
     click.echo(f"games: {games}  rounds: {rounds}  alpha: {alpha}  seed: {seed}")
     for p in wanted:
@@ -312,20 +327,16 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
 @click.option("--emit-csv", "out", default=None, help="CSV path (default stdout)")
 def reduce(inner_id, kind, rounds, seed, alpha, out):
     """Couple an inner strategy with its reduction; emit per-round revenue."""
+    inner = _strategy(inner_id)
+    if kind == "orderly":
+        wrapped = orderly_reduce(_strategy(inner_id))
+    else:
+        wrapped = lcm_reduce(_strategy(inner_id), horizon=rounds)
     try:
-        inner = make_strategy(inner_id)
-        if kind == "orderly":
-            wrapped = orderly_reduce(make_strategy(inner_id))
-        else:
-            wrapped = lcm_reduce(make_strategy(inner_id), horizon=rounds)
         t_inner = run_game(inner, alpha, rounds, seed=seed)
         t_red = run_game(wrapped, alpha, rounds, seed=seed)
-    except (ScriptError, StatefileError) as e:
-        click.echo(f"parse error: {e}", err=True)
-        sys.exit(2)
     except BlockTreeError as e:
-        click.echo(f"reduction failed: {e}", err=True)
-        sys.exit(1)
+        _fail(1, f"reduction failed: {e}")
     lines = _header(
         "reduce", inner=inner_id, kind=kind, rounds=rounds, seed=seed, alpha=alpha
     )
@@ -345,8 +356,7 @@ def checkpoints_cmd(state_path):
         with open(state_path) as fh:
             state = parse_statefile(fh.read())
     except StatefileError as e:
-        click.echo(f"parse error: {e}", err=True)
-        sys.exit(2)
+        _fail(2, f"parse error: {e}")
     click.echo(" ".join(str(c) for c in checkpoints(state)))
 
 

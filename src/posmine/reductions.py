@@ -27,7 +27,6 @@ the interim, based on the checkpoint itself.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -42,15 +41,15 @@ from .blocktree import (
     PublishPath,
     Wait,
     WAIT,
+    attach_action,
     begin_round,
     capitulate,
     chain_path,
     desugar,
     initial_state,
     successors,
-    validate_action,
 )
-from .strategies import StrategyDecision, UnreachableState
+from .strategies import StrategyDecision, UnreachableState, _creator_stream
 from .structure import _as_path, checkpoints, is_timeserving, is_trimmed
 
 __all__ = [
@@ -179,7 +178,9 @@ class _ShadowWrapper:
             _check_sigma_coupling(self.sigma, self.shadow, half.state)
         return HalfState(self.shadow, half.creator, n)
 
-    def _inner_path(self, action: Action) -> tuple[list[int], int]:
+    def _apply_inner(self, action: Action) -> tuple[list[int], int]:
+        """Check that the inner publish is one timeserving path, apply it to
+        the shadow game, and return its (ascending blocks, base)."""
         if not is_timeserving(self.shadow, action):
             raise InnerNotTimeserving(
                 f"round {self.shadow.round}: inner action {action!r} is not timeserving"
@@ -190,13 +191,8 @@ class _ShadowWrapper:
             raise InnerNotTimeserving(
                 f"round {self.shadow.round}: inner action {action!r} is not a single path"
             )
+        attach_action(self.shadow, MINER1, action)
         return path
-
-    def _apply_to_shadow(self, action: Action) -> None:
-        flat = validate_action(self.shadow, MINER1, action)
-        parent_of = dict(flat.edges)
-        for b in sorted(flat.blocks):
-            self.shadow._publish_one(b, parent_of[b])
 
     def _settle_shadow(self) -> None:
         self.shadow = capitulate(self.shadow, self.shadow.tip_height())
@@ -248,8 +244,7 @@ class OrderlyReduction(_ShadowWrapper):
             if dec.capitulate_to_b0:
                 self._settle_shadow()
             return StrategyDecision(WAIT, dec.capitulate_to_b0)
-        blocks, u = self._inner_path(dec.action)
-        self._apply_to_shadow(dec.action)
+        blocks, u = self._apply_inner(dec.action)
         base = self.sigma(u)
         chosen = self._remap(half, blocks, base)
         if dec.capitulate_to_b0:
@@ -278,9 +273,8 @@ class LcmStepReduction(_ShadowWrapper):
             if dec.capitulate_to_b0:
                 self._settle_shadow()
             return StrategyDecision(WAIT, dec.capitulate_to_b0)
-        blocks, u = self._inner_path(dec.action)
+        blocks, u = self._apply_inner(dec.action)
         u_height = self.shadow._heights[u]
-        self._apply_to_shadow(dec.action)
         if half.state.round == self.step_round + 1:
             chain = chain_path(half.state)
             if u_height >= len(chain):
@@ -323,9 +317,8 @@ class LcmReduction(_ShadowWrapper):
             if dec.capitulate_to_b0:
                 self._settle_shadow()
             return StrategyDecision(WAIT, dec.capitulate_to_b0)
-        blocks, u = self._inner_path(dec.action)
+        blocks, u = self._apply_inner(dec.action)
         u_height = self.shadow._heights[u]
-        self._apply_to_shadow(dec.action)
         if half.state.round <= self.horizon:
             chain = chain_path(half.state)
             if u_height >= len(chain):
@@ -409,9 +402,9 @@ class DeferredPublicationPlan:
     def execute(self, alpha: float, seed: Optional[int] = None,
                 max_rounds: int = 10**7) -> PlanOutcome:
         """Drive the plan with fresh creator draws until it fires."""
-        rng = random.Random(seed)
+        creators = _creator_stream(alpha, seed)
         while self.ticks < max_rounds:
-            act = self.tick(MINER1 if rng.random() < alpha else MINER2)
+            act = self.tick(next(creators))
             if act is not None:
                 return PlanOutcome(act, self.ticks, len(self.interim))
         raise RuntimeError(f"plan did not fire within {max_rounds} rounds")

@@ -5,7 +5,9 @@ the decision carries the action plus a flag telling the engine to lock in the
 current chain and restart from a fresh single-genesis state (the strategy is
 declaring the position settled).  The engine keeps absolute block labels and
 accumulates locked chain counts across those restarts, so total revenue
-``r1_total / height_total`` is exact over the whole run.
+``r1_total / height_total`` is exact over the whole run.  The engine is the
+package's only round loop: trace replay (``structure.replay_trace``) drives
+it with a :class:`Scripted` strategy and observer hooks.
 
 Strategies included: the frontier policy (publish immediately, always
 capitulate), withhold-and-overtake (hold a private lead, publish it all when
@@ -33,6 +35,7 @@ from .blocktree import (
     PublishPath,
     PublishSet,
     Wait,
+    attach_action,
     begin_round,
     capitulate,
     initial_state,
@@ -69,6 +72,10 @@ class StrategyDecision:
 
     action: Action
     capitulate_to_b0: bool = False
+
+
+# Decisions are frozen, so rounds without a move can share one.
+_NO_MOVE = StrategyDecision(WAIT, False)
 
 
 class UnreachableState(BlockTreeError):
@@ -272,17 +279,18 @@ class Scripted:
         self._next = 0
 
     def decide(self, half: HalfState) -> StrategyDecision:
-        if self._next < len(self.moves) and self.moves[self._next][0] == half.state.round:
+        if self._next < len(self.moves) and self.moves[self._next][0] == half.block:
             _, action, settle = self.moves[self._next]
             self._next += 1
-            try:
-                validate_action(half.state, MINER1, action)
-            except InvalidAction as e:
-                raise ScriptExhaustedMismatch(
-                    f"scripted action {action!r} is invalid at round {half.state.round}: {e}"
-                ) from e
+            if not isinstance(action, Wait):
+                try:
+                    validate_action(half.state, MINER1, action)
+                except InvalidAction as e:
+                    raise ScriptExhaustedMismatch(
+                        f"scripted action {action!r} is invalid at round {half.block}: {e}"
+                    ) from e
             return StrategyDecision(action, settle)
-        return StrategyDecision(WAIT, False)
+        return _NO_MOVE
 
 
 def parse_script(text: str) -> list[tuple[int, Action, bool]]:
@@ -332,7 +340,7 @@ def make_strategy(spec: str):
         path = spec[len("scripted:@"):]
         with open(path) as f:
             return Scripted(parse_script(f.read()), name=f"scripted:{path}")
-    raise ValueError(f"unknown strategy {spec!r}")
+    raise ValueError(f"unknown strategy {spec!r} (have frontier, sm, nsm, scripted:@file)")
 
 
 def format_action(action: Action) -> str:
@@ -361,11 +369,21 @@ class Engine:
     Chain counts locked at capitulation are accumulated, so ``t1_total`` /
     ``height_total`` give exact whole-game figures while the live state
     stays small.
+
+    Each observer may define any of three hooks, looked up once here:
+    ``half(state, creator, block, action)`` sees Miner 1's chosen action
+    before it is applied; ``round_end(state, new_blocks, settled, round)``
+    sees the finished round before any settle, with the blocks published
+    in it in publication order; ``capitulated(state)`` sees the fresh
+    state after a settle.
     """
 
-    __slots__ = ("state", "strategy", "locked_t1", "locked_t2", "locked_h", "caps")
+    __slots__ = (
+        "state", "strategy", "locked_t1", "locked_t2", "locked_h", "caps",
+        "_half_hooks", "_end_hooks", "_cap_hooks",
+    )
 
-    def __init__(self, strategy, state: Optional[GameState] = None):
+    def __init__(self, strategy, state: Optional[GameState] = None, observers=()):
         if state is None:
             strategy.reset()
             self.state = initial_state()
@@ -377,6 +395,9 @@ class Engine:
         self.locked_t2 = 0
         self.locked_h = 0
         self.caps = 0
+        self._half_hooks = _hooks(observers, "half")
+        self._end_hooks = _hooks(observers, "round_end")
+        self._cap_hooks = _hooks(observers, "capitulated")
 
     # totals including locked prefix
     def t1_total(self) -> int:
@@ -392,28 +413,40 @@ class Engine:
         """One round; returns (miner1 action, m2 base or -1, r1, r2, settled)."""
         st = self.state
         t1b = st.chain_owned(MINER1)
-        t2b = st.chain_owned(MINER2)
+        hb = st.tip_height()
         n = begin_round(st, creator)
         m2_base = -1
         if creator == MINER2:
             m2_base = st.tip()
             st._publish_one(n, m2_base)
         dec = self.strategy.decide(HalfState(st, creator, n))
-        action = dec.action
+        action, settled = dec.action, dec.capitulate_to_b0
+        for hook in self._half_hooks:
+            hook(st, creator, n, action)
+        published = ()
         if not isinstance(action, Wait):
-            flat = validate_action(st, MINER1, action)
-            parent_of = dict(flat.edges)
-            for b in sorted(flat.blocks):
-                st._publish_one(b, parent_of[b])
-        r1 = st.chain_owned(MINER1) - t1b
-        r2 = st.chain_owned(MINER2) - t2b
-        if dec.capitulate_to_b0:
-            self.locked_t1 += st.chain_owned(MINER1)
-            self.locked_t2 += st.chain_owned(MINER2)
-            self.locked_h += st.tip_height()
-            self.state = capitulate(st, st.tip_height())
+            published = attach_action(st, MINER1, action).blocks
+        # Miner 2's chain count is the chain height minus Miner 1's.
+        t1, h = st.chain_owned(MINER1), st.tip_height()
+        r1 = t1 - t1b
+        r2 = h - hb - r1
+        if self._end_hooks:
+            new_blocks = ([n] if creator == MINER2 else []) + sorted(published)
+            for hook in self._end_hooks:
+                hook(st, new_blocks, settled, n)
+        if settled:
+            self.locked_t1 += t1
+            self.locked_t2 += h - t1
+            self.locked_h += h
+            self.state = capitulate(st, h)
             self.caps += 1
-        return action, m2_base, r1, r2, dec.capitulate_to_b0
+            for hook in self._cap_hooks:
+                hook(self.state)
+        return action, m2_base, r1, r2, settled
+
+
+def _hooks(observers, name: str) -> list:
+    return [h for h in (getattr(obs, name, None) for obs in observers) if h is not None]
 
 
 @dataclass
@@ -434,13 +467,6 @@ class Trace:
 
     def rounds(self) -> int:
         return len(self.creators)
-
-    def t1_cumulative(self) -> list[int]:
-        out, c = [], 0
-        for d in self.r1:
-            c += d
-            out.append(c)
-        return out
 
     def revenue_series(self) -> list[float]:
         """rev(n) = Miner 1's chain blocks / chain height, after each round."""
@@ -471,11 +497,20 @@ class CycleStats:
     rounds: int
 
 
-def _creator_stream(alpha: float, seed: Optional[int], explicit) -> Iterator[int]:
-    if explicit is not None:
-        yield from explicit
-        return
-    rng = random.Random(seed)
+def _creator_stream(
+    alpha: float, seed: Optional[int], explicit=None, needed: Optional[int] = None
+) -> Iterator[int]:
+    """The creator of each round: the ``explicit`` list if one is given
+    (it must hold at least ``needed`` entries), else Miner 1 with
+    probability ``alpha`` from ``random.Random(seed)``, one draw a round."""
+    if explicit is None:
+        return _draws(alpha, random.Random(seed))
+    if needed is not None and len(explicit) < needed:
+        raise ValueError(f"{len(explicit)} creators given, {needed} needed")
+    return iter(explicit)
+
+
+def _draws(alpha: float, rng: random.Random) -> Iterator[int]:
     while True:
         yield MINER1 if rng.random() < alpha else MINER2
 
@@ -491,7 +526,7 @@ def run_game(
     eng = Engine(strategy)
     name = getattr(strategy, "name", strategy.__class__.__name__)
     trace = Trace(strategy=name, alpha=alpha, seed=seed)
-    stream = _creator_stream(alpha, seed, creators)
+    stream = _creator_stream(alpha, seed, creators, rounds)
     for _ in range(rounds):
         creator = next(stream)
         action, m2_base, r1, r2, capped = eng.play(creator)
@@ -517,7 +552,7 @@ def run_totals(
     """Lean loop: totals only; optionally fill a preallocated per-round
     chain-height array (for growth-rate checks)."""
     eng = Engine(strategy)
-    stream = _creator_stream(alpha, seed, creators)
+    stream = _creator_stream(alpha, seed, creators, rounds)
     play = eng.play
     for i in range(rounds):
         play(next(stream))
@@ -540,7 +575,7 @@ def iter_cycles(
 ) -> Iterator[CycleStats]:
     """Yield per-cycle chain rewards, a cycle being settle-to-settle."""
     eng = Engine(strategy)
-    stream = _creator_stream(alpha, seed, None)
+    stream = _creator_stream(alpha, seed)
     t1_mark = t2_mark = 0
     rounds_in_cycle = 0
     while True:

@@ -27,19 +27,16 @@ from .blocktree import (
     PublishPath,
     PublishSet,
     Wait,
-    begin_round,
-    capitulate,
     chain_path,
     desugar,
-    initial_state,
     on_chain,
     successors,
-    validate_action,
 )
-from .strategies import Trace, format_action
+from .strategies import Engine, Scripted, Trace, format_action
 
 __all__ = [
     "NoCheckpointAbove",
+    "ReplayDiverged",
     "checkpoints",
     "checkpoint_inequality",
     "checkpoint_reward_bound",
@@ -63,6 +60,18 @@ __all__ = [
 
 class NoCheckpointAbove(BlockTreeError):
     """The action's base has no checkpoint among its chain successors."""
+
+
+class ReplayDiverged(BlockTreeError):
+    """A replayed round reached a different chain height than recorded."""
+
+    def __init__(self, round: int, expected: int, actual: int):
+        super().__init__(
+            f"replay diverged at round {round}: recorded height {expected}, replayed {actual}"
+        )
+        self.round = round
+        self.expected = expected
+        self.actual = actual
 
 
 def _state_of(x: Union[GameState, HalfState]) -> GameState:
@@ -375,51 +384,29 @@ class MonitorReport:
 
 
 def replay_trace(trace: Trace, observers: list) -> GameState:
-    """Re-run a recorded game, feeding each observer the mid-round and
-    end-of-round states.  Replay fidelity is asserted against the trace's
-    recorded chain heights."""
-    state = initial_state()
-    locked_h = 0
-    for i in range(trace.rounds()):
-        creator = trace.creators[i]
-        n = begin_round(state, creator)
-        new_blocks: list[int] = []
-        if creator == MINER2:
-            base = state.tip()
-            state._publish_one(n, base)
-            new_blocks.append(n)
-        action = trace.m1_actions[i]
-        for obs in observers:
-            hook = getattr(obs, "half", None)
-            if hook:
-                hook(state, creator, n, action)
-        if not isinstance(action, Wait):
-            flat = validate_action(state, MINER1, action)
-            parent_of = dict(flat.edges)
-            for b in sorted(flat.blocks):
-                state._publish_one(b, parent_of[b])
-                new_blocks.append(b)
-        capped = trace.cap_flags[i]
-        if trace.heights:
-            assert locked_h + state.tip_height() == trace.heights[i], (
-                f"replay diverged at round {n}"
-            )
-        for obs in observers:
-            hook = getattr(obs, "round_end", None)
-            if hook:
-                hook(state, new_blocks, capped, n)
-        if capped:
-            locked_h += state.tip_height()
-            state = capitulate(state, state.tip_height())
-            for obs in observers:
-                hook = getattr(obs, "capitulated", None)
-                if hook:
-                    hook(state)
+    """Re-run a recorded game through :class:`Engine`, with the recorded
+    Miner-1 moves as a :class:`Scripted` strategy and ``observers`` hooked
+    into every round (see :class:`Engine` for the hooks), then call each
+    observer's ``finish(state)`` hook on the final state.
+
+    Each round's chain height is checked against the trace's recorded
+    heights; the first mismatch raises :class:`ReplayDiverged`.
+    """
+    moves = [
+        (i + 1, action, settled)
+        for i, (action, settled) in enumerate(zip(trace.m1_actions, trace.cap_flags))
+        if settled or not isinstance(action, Wait)
+    ]
+    eng = Engine(Scripted(moves), observers=observers)
+    for i, creator in enumerate(trace.creators):
+        eng.play(creator)
+        if trace.heights and eng.height_total() != trace.heights[i]:
+            raise ReplayDiverged(i + 1, trace.heights[i], eng.height_total())
     for obs in observers:
         hook = getattr(obs, "finish", None)
         if hook:
-            hook(state)
-    return state
+            hook(eng.state)
+    return eng.state
 
 
 class _ActionClassifierMonitor:
