@@ -215,7 +215,6 @@ class GameState:
         "_chain_m1",
         "_pub_seq",
         "_tip",
-        "_memo",
     )
 
     def __init__(self) -> None:
@@ -229,7 +228,6 @@ class GameState:
         self._chain_m1: dict[int, int] = {GENESIS: 0}
         self._pub_seq: dict[int, tuple[int, int]] = {GENESIS: (0, 0)}
         self._tip: int = GENESIS
-        self._memo: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -269,7 +267,6 @@ class GameState:
         s._chain_m1 = dict(self._chain_m1)
         s._pub_seq = dict(self._pub_seq)
         s._tip = self._tip
-        s._memo = {}
         return s
 
     def __repr__(self) -> str:
@@ -293,7 +290,6 @@ class GameState:
         self._chain_m1[b] = self._chain_m1[target] + (1 if owner == MINER1 else 0)
         if h > self._heights[self._tip]:
             self._tip = b
-        self._memo.clear()
 
 
 def initial_state() -> GameState:
@@ -309,7 +305,6 @@ def begin_round(state: GameState, creator: int) -> int:
     n = state.round
     state.creator[n] = creator
     state.unpublished(creator).add(n)
-    state._memo.clear()
     return n
 
 
@@ -380,8 +375,6 @@ def apply_action(state: GameState, miner: int, action: Action, *, in_place: bool
     """
     target_state = state if in_place else state.clone()
     attach_action(target_state, miner, action)
-    if __debug__:
-        assert all(v > t for v, t in target_state.parent.items())
     return target_state
 
 
@@ -513,7 +506,6 @@ def _rebuild_caches(s: GameState) -> None:
         s.published_blocks(),
         key=lambda b: (-s._heights[b], s._pub_seq[b][0], s._pub_seq[b][1], b),
     )
-    s._memo = {}
 
 
 # ---------------------------------------------------------------------------

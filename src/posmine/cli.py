@@ -40,6 +40,7 @@ from .analysis import (
     ruin_probability,
     stake_dynamics,
     walk_stats,
+    _check_alpha,
 )
 
 PROPERTIES = (
@@ -94,6 +95,14 @@ def _strategy(spec: str):
     except OSError as e:
         _fail(2, f"usage error: cannot read {e.filename}: {e.strerror}")
     except ValueError as e:
+        _fail(2, f"usage error: {e}")
+
+
+def _alpha(alpha: float) -> None:
+    """``analysis``'s (0, 1/2) rule, exiting with 2 outside it."""
+    try:
+        _check_alpha(alpha)
+    except DomainError as e:
         _fail(2, f"usage error: {e}")
 
 
@@ -217,6 +226,7 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
 @click.option("--emit-tree", "emit_tree", default=None, help="write final block tree as DOT")
 def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
     """Play one game and emit its per-round trace as CSV."""
+    _alpha(alpha)
     strategy = _strategy(strategy_id)
     try:
         trace = run_game(strategy, alpha, rounds, seed=seed)
@@ -254,12 +264,8 @@ def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
         )
     _emit("\n".join(lines) + "\n", out)
     if emit_tree:
-        # replaying the recorded trace rebuilds the final live tree
-        from .structure import replay_trace
-
-        final = replay_trace(trace, [])
         with open(emit_tree, "w") as fh:
-            fh.write(to_dot(final))
+            fh.write(to_dot(trace.final_state))
 
 
 @main.command()
@@ -273,6 +279,7 @@ def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
               help="also run the fork-ownership and checkpoint-override monitors")
 def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
     """Classify traces against the structural properties; exit 1 on violation."""
+    _alpha(alpha)
     wanted = PROPERTIES if props == "all" else tuple(p.strip() for p in props.split(","))
     unknown = [p for p in wanted if p not in PROPERTIES]
     if unknown:
@@ -327,6 +334,7 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
 @click.option("--emit-csv", "out", default=None, help="CSV path (default stdout)")
 def reduce(inner_id, kind, rounds, seed, alpha, out):
     """Couple an inner strategy with its reduction; emit per-round revenue."""
+    _alpha(alpha)
     inner = _strategy(inner_id)
     if kind == "orderly":
         wrapped = orderly_reduce(_strategy(inner_id))

@@ -3,7 +3,10 @@
 Each wrapper runs the inner strategy on a private shadow game fed the same
 creator draws (Miner 2's frontier response is simulated on the shadow), and
 translates the inner strategy's publishes into better-shaped actions on the
-real game:
+real game.  The round is the same for every wrapper
+(``_ShadowWrapper._step``); a wrapper only defines
+``_translate(half, blocks, u)``, the real publish that stands for the inner
+publish of ``blocks`` on shadow base ``u``:
 
 * ``orderly_reduce`` keeps the publish base (up to a block-label mapping)
   but swaps the published blocks for the smallest available ones, so every
@@ -17,7 +20,9 @@ real game:
 The block-label mapping (sigma) pairs the shadow game's blocks with the
 real game's: published blocks are paired when published, and the still
 unpublished blocks are paired up by rank after every publish.  Miner-2
-blocks always map to themselves.
+blocks always map to themselves.  With ``check=True`` the coupling is
+re-checked every round, and a broken invariant raises
+:class:`CouplingBroken`.
 
 ``checkpoint_preserve_case1`` builds the deferred-publication plan that
 replaces a checkpoint-forking publish: wait out a biased random walk, then
@@ -28,7 +33,7 @@ the interim, based on the checkpoint itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .blocktree import (
     GENESIS,
@@ -45,7 +50,6 @@ from .blocktree import (
     begin_round,
     capitulate,
     chain_path,
-    desugar,
     initial_state,
     successors,
 )
@@ -53,6 +57,7 @@ from .strategies import StrategyDecision, UnreachableState, _creator_stream
 from .structure import _as_path, checkpoints, is_timeserving, is_trimmed
 
 __all__ = [
+    "CouplingBroken",
     "InnerNotTimeserving",
     "NoChainBlockAtHeight",
     "NotForkingCheckpoint",
@@ -68,6 +73,16 @@ __all__ = [
     "PlanOutcome",
     "checkpoint_preserve_case1",
 ]
+
+
+class CouplingBroken(BlockTreeError, AssertionError):
+    """A coupling invariant between the shadow and the real game failed;
+    raised, not asserted, so the checks also run under ``python -O``."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CouplingBroken(message)
 
 
 class InnerNotTimeserving(BlockTreeError):
@@ -112,35 +127,35 @@ class SigmaMap:
 
     def check_bijection(self, domain=None) -> None:
         vals = list(self.diff.values())
-        assert len(set(vals)) == len(vals), "sigma lost injectivity"
+        _require(len(set(vals)) == len(vals), "sigma lost injectivity")
         if domain is not None:
             # an explicit pair aimed at some block's identity image would
             # make two domain blocks collide in the real game
             imgs = [self(b) for b in domain]
-            assert len(set(imgs)) == len(imgs), "sigma images collide on the domain"
+            _require(len(set(imgs)) == len(imgs), "sigma images collide on the domain")
 
 
 def _check_sigma_coupling(sigma: SigmaMap, shadow: GameState, real: GameState) -> None:
-    """Debug assertions: sigma is a tree isomorphism shadow -> real, fixes
+    """Coupling checks: sigma is a tree isomorphism shadow -> real, fixes
     Miner-2 blocks, and is a rank isomorphism on the unpublished sets."""
     for b, p in shadow.parent.items():
         sb = sigma(b)
-        assert sb in real.parent, f"sigma({b})={sb} not published in the real game"
+        _require(sb in real.parent, f"sigma({b})={sb} not published in the real game")
         want = sigma(p) if p != GENESIS else GENESIS
-        assert real.parent[sb] == want, f"edge mismatch at shadow block {b}"
+        _require(real.parent[sb] == want, f"edge mismatch at shadow block {b}")
     for b in sigma.diff:
-        assert shadow.creator.get(b) == MINER1, f"sigma moved non-Miner-1 block {b}"
+        _require(shadow.creator.get(b) == MINER1, f"sigma moved non-Miner-1 block {b}")
     sh_u = sorted(shadow.unpublished_1)
     re_u = sorted(real.unpublished_1)
-    assert [sigma(b) for b in sh_u] == re_u[: len(sh_u)], (
-        "sigma is not the rank pairing on unpublished"
-    )
+    _require([sigma(b) for b in sh_u] == re_u[: len(sh_u)],
+             "sigma is not the rank pairing on unpublished")
     sigma.check_bijection(shadow.creator.keys())
 
 
 class _ShadowWrapper:
     """Shared machinery: mirror the creator draws (and Miner 2's frontier
-    response) on a private shadow game the inner strategy plays against."""
+    response) on a private shadow game the inner strategy plays against.
+    Subclasses define ``_translate`` (see the module docstring)."""
 
     def __init__(self, inner, check: bool = False):
         self.inner = inner
@@ -158,6 +173,20 @@ class _ShadowWrapper:
                 "reduction wrappers can only start from the initial state"
             )
         self.reset()
+
+    def _step(self, half: HalfState) -> StrategyDecision:
+        """Advance the shadow, run the inner strategy on it, apply its
+        publish there and translate it for the real game, then settle the
+        shadow if the inner strategy settles."""
+        dec = self.inner.decide(self._advance(half))
+        action = WAIT
+        if not isinstance(dec.action, Wait):
+            blocks, u = self._apply_inner(dec.action)
+            action = self._translate(half, blocks, u)
+        if dec.capitulate_to_b0:
+            self.shadow = capitulate(self.shadow, self.shadow.tip_height())
+            self.sigma.prune(self.shadow.knows)
+        return StrategyDecision(action, dec.capitulate_to_b0)
 
     def _advance(self, half: HalfState) -> HalfState:
         n = begin_round(self.shadow, half.creator)
@@ -185,8 +214,7 @@ class _ShadowWrapper:
             raise InnerNotTimeserving(
                 f"round {self.shadow.round}: inner action {action!r} is not timeserving"
             )
-        flat = desugar(self.shadow, MINER1, action)
-        path = _as_path(flat)
+        path = _as_path(self.shadow, action)
         if path is None:
             raise InnerNotTimeserving(
                 f"round {self.shadow.round}: inner action {action!r} is not a single path"
@@ -194,13 +222,19 @@ class _ShadowWrapper:
         attach_action(self.shadow, MINER1, action)
         return path
 
-    def _settle_shadow(self) -> None:
-        self.shadow = capitulate(self.shadow, self.shadow.tip_height())
-        self.sigma.prune(lambda b: self.shadow.knows(b))
+    def _chain_at(self, half: HalfState, u: int) -> int:
+        """The real chain block at the height of shadow block ``u``."""
+        u_height = self.shadow._heights[u]
+        chain = chain_path(half.state)
+        if u_height >= len(chain):
+            raise NoChainBlockAtHeight(
+                f"round {half.state.round}: real chain has no block at height {u_height}"
+            )
+        return chain[u_height]
 
-    def _remap(self, half: HalfState, blocks: list[int], base: int) -> list[int]:
-        """Pick the real-game publish set: the |blocks| smallest unpublished
-        real blocks above the real base, and update sigma's two pairings."""
+    def _remap(self, half: HalfState, blocks: list[int], base: int) -> PublishPath:
+        """Publish the |blocks| smallest unpublished real blocks above the
+        real base, and update sigma's two pairings."""
         real_u = half.state.unpublished_1
         pool = sorted(b for b in real_u if b > base)
         if len(pool) < len(blocks):
@@ -216,17 +250,18 @@ class _ShadowWrapper:
             self.sigma.set(b, target)
         rest_shadow = sorted(self.shadow.unpublished_1)
         rest_real = sorted(set(real_u) - set(chosen))
-        assert len(rest_shadow) <= len(rest_real)
+        _require(len(rest_shadow) <= len(rest_real), "shadow holds more unpublished blocks")
         for b, target in zip(rest_shadow, rest_real):
             self.sigma.set(b, target)
         if self.check:
             for b in blocks:
-                assert self.sigma(b) <= old[b], f"published block {b} moved up"
+                _require(self.sigma(b) <= old[b], f"published block {b} moved up")
             for b in rest_shadow:
-                assert self.sigma(b) >= old[b], f"unpublished block {b} moved down"
-            assert [self.sigma(b) for b in rest_shadow] == rest_real[: len(rest_shadow)]
+                _require(self.sigma(b) >= old[b], f"unpublished block {b} moved down")
+            _require([self.sigma(b) for b in rest_shadow] == rest_real[: len(rest_shadow)],
+                     "sigma is not the rank pairing on unpublished")
             self.sigma.check_bijection(self.shadow.creator.keys())
-        return chosen
+        return PublishPath(frozenset(chosen), base)
 
 
 class OrderlyReduction(_ShadowWrapper):
@@ -238,20 +273,10 @@ class OrderlyReduction(_ShadowWrapper):
         return f"orderly({self.inner.name})"
 
     def decide(self, half: HalfState) -> StrategyDecision:
-        sh_half = self._advance(half)
-        dec = self.inner.decide(sh_half)
-        if isinstance(dec.action, Wait):
-            if dec.capitulate_to_b0:
-                self._settle_shadow()
-            return StrategyDecision(WAIT, dec.capitulate_to_b0)
-        blocks, u = self._apply_inner(dec.action)
-        base = self.sigma(u)
-        chosen = self._remap(half, blocks, base)
-        if dec.capitulate_to_b0:
-            self._settle_shadow()
-        return StrategyDecision(
-            PublishPath(frozenset(chosen), base), dec.capitulate_to_b0
-        )
+        return self._step(half)
+
+    def _translate(self, half: HalfState, blocks: list[int], u: int) -> PublishPath:
+        return self._remap(half, blocks, self.sigma(u))
 
 
 class LcmStepReduction(_ShadowWrapper):
@@ -267,26 +292,15 @@ class LcmStepReduction(_ShadowWrapper):
         return f"lcm-step{self.step_round}({self.inner.name})"
 
     def decide(self, half: HalfState) -> StrategyDecision:
-        sh_half = self._advance(half)
-        dec = self.inner.decide(sh_half)
-        if isinstance(dec.action, Wait):
-            if dec.capitulate_to_b0:
-                self._settle_shadow()
-            return StrategyDecision(WAIT, dec.capitulate_to_b0)
-        blocks, u = self._apply_inner(dec.action)
-        u_height = self.shadow._heights[u]
+        return self._step(half)
+
+    def _translate(self, half: HalfState, blocks: list[int], u: int) -> PublishPath:
+        # verbatim, as the inner strategy chose them: mapping the base
+        # through sigma, as the other wrappers do, would move it wherever
+        # sigma(u) != u
         if half.state.round == self.step_round + 1:
-            chain = chain_path(half.state)
-            if u_height >= len(chain):
-                raise NoChainBlockAtHeight(
-                    f"round {half.state.round}: real chain has no block at height {u_height}"
-                )
-            action = PublishPath(frozenset(blocks), chain[u_height])
-        else:
-            action = PublishPath(frozenset(blocks), u)
-        if dec.capitulate_to_b0:
-            self._settle_shadow()
-        return StrategyDecision(action, dec.capitulate_to_b0)
+            u = self._chain_at(half, u)
+        return PublishPath(frozenset(blocks), u)
 
 
 class LcmReduction(_ShadowWrapper):
@@ -311,29 +325,11 @@ class LcmReduction(_ShadowWrapper):
         return f"lcm({self.inner.name})"
 
     def decide(self, half: HalfState) -> StrategyDecision:
-        sh_half = self._advance(half)
-        dec = self.inner.decide(sh_half)
-        if isinstance(dec.action, Wait):
-            if dec.capitulate_to_b0:
-                self._settle_shadow()
-            return StrategyDecision(WAIT, dec.capitulate_to_b0)
-        blocks, u = self._apply_inner(dec.action)
-        u_height = self.shadow._heights[u]
-        if half.state.round <= self.horizon:
-            chain = chain_path(half.state)
-            if u_height >= len(chain):
-                raise NoChainBlockAtHeight(
-                    f"round {half.state.round}: real chain has no block at height {u_height}"
-                )
-            base = chain[u_height]
-        else:
-            base = self.sigma(u)
-        chosen = self._remap(half, blocks, base)
-        if dec.capitulate_to_b0:
-            self._settle_shadow()
-        return StrategyDecision(
-            PublishPath(frozenset(chosen), base), dec.capitulate_to_b0
-        )
+        return self._step(half)
+
+    def _translate(self, half: HalfState, blocks: list[int], u: int) -> PublishPath:
+        base = self._chain_at(half, u) if half.state.round <= self.horizon else self.sigma(u)
+        return self._remap(half, blocks, base)
 
 
 def orderly_reduce(inner, check: bool = False) -> OrderlyReduction:
@@ -410,19 +406,14 @@ class DeferredPublicationPlan:
         raise RuntimeError(f"plan did not fire within {max_rounds} rounds")
 
 
-def checkpoint_preserve_case1(
-    state: Union[GameState, HalfState], action: Action
-) -> DeferredPublicationPlan:
+def checkpoint_preserve_case1(state: GameState, action: Action) -> DeferredPublicationPlan:
     """Plan the deferred replacement for a checkpoint-forking publish.
 
     The action must be a trimmed path publish whose base sits below the
     most recent checkpoint (so the publish would knock the checkpoint off
     the chain).  The caller is responsible for the finality of the base.
     """
-    if isinstance(state, HalfState):
-        state = state.state
-    flat = desugar(state, MINER1, action)
-    path = None if isinstance(flat, Wait) else _as_path(flat)
+    path = _as_path(state, action)
     if path is None:
         raise ValueError("deferred plan needs a path-shaped publish action")
     if not is_trimmed(state, action):

@@ -451,7 +451,10 @@ def _hooks(observers, name: str) -> list:
 
 @dataclass
 class Trace:
-    """Full per-round record of one game, sufficient to replay it exactly."""
+    """Full per-round record of one game, sufficient to replay it exactly.
+
+    ``final_state`` is the live state the game ended in (set by
+    :func:`run_game`; not part of equality)."""
 
     strategy: str
     alpha: float
@@ -464,6 +467,7 @@ class Trace:
     heights: list[int] = field(default_factory=list)
     r1: list[int] = field(default_factory=list)
     r2: list[int] = field(default_factory=list)
+    final_state: Optional[GameState] = field(default=None, compare=False, repr=False)
 
     def rounds(self) -> int:
         return len(self.creators)
@@ -538,6 +542,7 @@ def run_game(
         trace.heights.append(eng.height_total())
         trace.r1.append(r1)
         trace.r2.append(r2)
+    trace.final_state = eng.state
     return trace
 
 

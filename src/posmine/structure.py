@@ -5,7 +5,8 @@ longest chain) at least as many of its blocks as it still withholds,
 counting from the previous checkpoint; checkpoints act like provisional
 genesis blocks.  The per-action classifiers (timeserving, orderly,
 longest-chain mining, trimmed) look at one Miner-1 action against the
-mid-round state; the trace classifiers replay a recorded game and check
+mid-round :class:`GameState` (Miner 2 has already acted; pass a
+``HalfState``'s ``state``); the trace classifiers replay a recorded game and check
 every action, plus the two retrospective properties (opportunistic,
 checkpoint-recurrent) that need to see how the game continued.
 """
@@ -13,8 +14,8 @@ checkpoint-recurrent) that need to see how the game continued.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 from .blocktree import (
     GENESIS,
@@ -23,9 +24,7 @@ from .blocktree import (
     Action,
     BlockTreeError,
     GameState,
-    HalfState,
     PublishPath,
-    PublishSet,
     Wait,
     chain_path,
     desugar,
@@ -74,15 +73,11 @@ class ReplayDiverged(BlockTreeError):
         self.actual = actual
 
 
-def _state_of(x: Union[GameState, HalfState]) -> GameState:
-    return x.state if isinstance(x, HalfState) else x
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
 
-def checkpoints(state: Union[GameState, HalfState]) -> list[int]:
+def checkpoints(state: GameState) -> list[int]:
     """All defined checkpoints, ascending, starting at genesis.
 
     Scanning the chain upward, a block v becomes the next checkpoint as
@@ -90,10 +85,6 @@ def checkpoints(state: Union[GameState, HalfState]) -> list[int]:
     the previous checkpoint as it has unpublished blocks in that window
     (window = labels in (previous, v]); the minimum such block wins.
     """
-    state = _state_of(state)
-    memo = state._memo.get("checkpoints")
-    if memo is not None:
-        return list(memo)
     u1 = sorted(state.unpublished_1)
     cps = [GENESIS]
     last = GENESIS
@@ -105,7 +96,6 @@ def checkpoints(state: Union[GameState, HalfState]) -> list[int]:
             cps.append(v)
             last = v
             t1_since = 0
-    state._memo["checkpoints"] = tuple(cps)
     return cps
 
 
@@ -118,7 +108,7 @@ class CheckVerdict:
         return self.holds
 
 
-def checkpoint_inequality(state: Union[GameState, HalfState]) -> CheckVerdict:
+def checkpoint_inequality(state: GameState) -> CheckVerdict:
     """Window-count comparisons between chain blocks and checkpoints.
 
     For every chain block v and checkpoint P above it (counting all
@@ -128,7 +118,6 @@ def checkpoint_inequality(state: Union[GameState, HalfState]) -> CheckVerdict:
       (iii) v not, P above v:  chain-T1(v, P]  >  unpublished(v, P]
     Returns the first violated comparison, scanning v upward.
     """
-    state = _state_of(state)
     chain = chain_path(state)
     cset = set(checkpoints(state))
     unp = sorted(state.unpublished_1 | state.unpublished_2)
@@ -142,7 +131,7 @@ def checkpoint_inequality(state: Union[GameState, HalfState]) -> CheckVerdict:
         return prefix[idx[b]] - prefix[idx[a]]
 
     for v in chain:
-        later_cps = [p for p in cset if p > v and on_chain(state, p)]
+        later_cps = [p for p in cset if p > v]  # checkpoints are chain blocks
         if v in cset:
             for p in sorted(later_cps):
                 lhs = chain_t1(v, p)
@@ -165,11 +154,10 @@ def checkpoint_inequality(state: Union[GameState, HalfState]) -> CheckVerdict:
     return CheckVerdict(True)
 
 
-def checkpoint_reward_bound(state: Union[GameState, HalfState]) -> CheckVerdict:
+def checkpoint_reward_bound(state: GameState) -> CheckVerdict:
     """Between a checkpoint and any non-checkpoint chain block above it,
     Miner 1 has published into the chain less than half its creations,
     up to one block of slack: chain-T1(P, v] < all-T1(P, v]/2 + 1."""
-    state = _state_of(state)
     chain = chain_path(state)
     cset = set(checkpoints(state))
     t1_all = sorted(b for b, who in state.creator.items() if who == MINER1)
@@ -194,34 +182,29 @@ def checkpoint_reward_bound(state: Union[GameState, HalfState]) -> CheckVerdict:
 # per-action classifiers
 
 
-def _flat(state: GameState, action: Action) -> Union[Wait, PublishSet]:
-    return desugar(state, MINER1, action)
-
-
-def _as_path(flat: PublishSet) -> Optional[tuple[list[int], int]]:
-    """Recover (ascending blocks, base) if the edge set forms one path."""
+def _as_path(state: GameState, action: Action) -> Optional[tuple[list[int], int]]:
+    """Desugar a Miner-1 action and recover (ascending blocks, base) if its
+    edges form one path; None for a Wait or any other shape."""
+    flat = desugar(state, MINER1, action)
+    if isinstance(flat, Wait):
+        return None
     blocks = sorted(flat.blocks)
     parents = dict(flat.edges)
-    if len(flat.edges) != len(blocks) or not blocks:
+    if len(flat.edges) != len(blocks) or not blocks or blocks[0] not in parents:
         return None
-    prev = None
-    for v in blocks:
-        if v not in parents:
+    for prev, v in zip(blocks, blocks[1:]):
+        if parents.get(v) != prev:
             return None
-        if prev is not None and parents[v] != prev:
-            return None
-        prev = v
     return blocks, parents[blocks[0]]
 
 
-def is_timeserving(half: Union[GameState, HalfState], action: Action) -> bool:
+def is_timeserving(state: GameState, action: Action) -> bool:
     """Do all published blocks land on the longest chain immediately?
 
     Ties against already-published blocks are lost (first published wins),
     so e.g. matching the current tip's height is not good enough.
     """
-    state = _state_of(half)
-    flat = _flat(state, action)
+    flat = desugar(state, MINER1, action)
     if isinstance(flat, Wait):
         return True
     parents = dict(flat.edges)
@@ -243,13 +226,11 @@ def is_timeserving(half: Union[GameState, HalfState], action: Action) -> bool:
     return flat.blocks <= new_chain
 
 
-def is_orderly(half: Union[GameState, HalfState], action: Action) -> bool:
+def is_orderly(state: GameState, action: Action) -> bool:
     """Are the published blocks the smallest available ones above the base?"""
-    state = _state_of(half)
-    flat = _flat(state, action)
-    if isinstance(flat, Wait):
+    if isinstance(action, Wait):
         return True
-    path = _as_path(flat)
+    path = _as_path(state, action)
     if path is None:
         return False
     blocks, base = path
@@ -257,53 +238,40 @@ def is_orderly(half: Union[GameState, HalfState], action: Action) -> bool:
     return blocks == pool[: len(blocks)]
 
 
-def is_lcm(half: Union[GameState, HalfState], action: Action) -> bool:
+def is_lcm(state: GameState, action: Action) -> bool:
     """Does the action build on a block of the current longest chain?"""
-    state = _state_of(half)
-    flat = _flat(state, action)
-    if isinstance(flat, Wait):
+    if isinstance(action, Wait):
         return True
-    path = _as_path(flat)
-    if path is None:
-        return False
-    return on_chain(state, path[1])
+    path = _as_path(state, action)
+    return path is not None and on_chain(state, path[1])
 
 
-def is_trimmed(half: Union[GameState, HalfState], action: Action) -> bool:
+def is_trimmed(state: GameState, action: Action) -> bool:
     """Longest-chain base, and any blocks kicked out start with Miner 2's.
 
     True when the base is the tip itself, or when the base's immediate
     chain successor was created by Miner 2.
     """
-    state = _state_of(half)
-    flat = _flat(state, action)
-    if isinstance(flat, Wait):
+    if isinstance(action, Wait):
         return True
-    path = _as_path(flat)
-    if path is None:
+    path = _as_path(state, action)
+    if path is None or not on_chain(state, path[1]):
         return False
-    base = path[1]
-    if not on_chain(state, base):
-        return False
-    succ = successors(state, base)
-    if not succ:
-        return True
-    return state.creator[succ[0]] == MINER2
+    succ = successors(state, path[1])
+    return not succ or state.creator[succ[0]] == MINER2
 
 
 # ---------------------------------------------------------------------------
 # lifts
 
 
-def checkpoint_lift(state: Union[GameState, HalfState], action: Action) -> PublishPath:
+def checkpoint_lift(state: GameState, action: Action) -> PublishPath:
     """Re-base a fork onto the newest checkpoint above its base.
 
     Returns PublishPath(Q above the checkpoint, that checkpoint); raises
     :class:`NoCheckpointAbove` when the base has no checkpoint successor.
     """
-    state = _state_of(state)
-    flat = _flat(state, action)
-    path = None if isinstance(flat, Wait) else _as_path(flat)
+    path = _as_path(state, action)
     if path is None:
         raise ValueError("checkpoint_lift needs a path-shaped publish action")
     blocks, base = path
@@ -315,14 +283,11 @@ def checkpoint_lift(state: Union[GameState, HalfState], action: Action) -> Publi
     return PublishPath(frozenset(b for b in blocks if b > c), c)
 
 
-def is_safe_lift(
-    state: Union[GameState, HalfState], original: Action, lifted: Action
-) -> bool:
+def is_safe_lift(state: GameState, original: Action, lifted: Action) -> bool:
     """Does the lift recover at least as many Miner-1 chain blocks as it
     drops from the publish set?"""
-    state = _state_of(state)
-    o = _as_path(_flat(state, original))
-    l = _as_path(_flat(state, lifted))
+    o = _as_path(state, original)
+    l = _as_path(state, lifted)
     if o is None or l is None:
         raise ValueError("safe-lift comparison needs path-shaped actions")
     (q, v), (q2, v2) = o, l
@@ -362,23 +327,14 @@ class PropertyReport:
     checkpoint_recurrent: PropertyVerdict = field(default_factory=PropertyVerdict)
 
     def as_dict(self) -> dict[str, PropertyVerdict]:
-        return {
-            "timeserving": self.timeserving,
-            "orderly": self.orderly,
-            "lcm": self.lcm,
-            "trimmed": self.trimmed,
-            "opportunistic": self.opportunistic,
-            "checkpoint_recurrent": self.checkpoint_recurrent,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def all_hold(self) -> bool:
         return all(v.holds for v in self.as_dict().values())
 
 
 @dataclass
-class MonitorReport:
-    holds: bool = True
-    violations: list[Witness] = field(default_factory=list)
+class MonitorReport(PropertyVerdict):
     skipped: list[Witness] = field(default_factory=list)
     checked: int = 0
 
@@ -446,9 +402,9 @@ class _OpportunisticMonitor:
     def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
         if isinstance(action, Wait):
             return
-        flat = _flat(state, action)
-        path = _as_path(flat)
+        path = _as_path(state, action)
         if path is None:
+            flat = desugar(state, MINER1, action)
             blocks = sorted(flat.blocks)
             base = min(t for _, t in flat.edges if t not in flat.blocks)
         else:
@@ -536,11 +492,8 @@ class _ForkOwnershipMonitor:
         v = q
         while v != r:
             if state.creator[v] != MINER1:
-                self.report.holds = False
-                self.report.violations.append(
-                    Witness(round_no, f"blocks {q} and {tilde} at equal height, "
-                                      f"but {v} on the chain side is Miner 2's")
-                )
+                self.report.hit(round_no, f"blocks {q} and {tilde} at equal height, "
+                                          f"but {v} on the chain side is Miner 2's")
                 return
             v = state.parent[v]
 
@@ -562,8 +515,7 @@ class _OverrideMonitor:
         self.pending = None
         if isinstance(action, Wait):
             return
-        flat = _flat(state, action)
-        path = _as_path(flat)
+        path = _as_path(state, action)
         if path is None or not is_trimmed(state, action):
             self.report.skipped.append(Witness(state.round, format_action(action)))
             return
@@ -579,8 +531,7 @@ class _OverrideMonitor:
         self.pending = None
         self.report.checked += 1
         if state.tip() not in checkpoints(state):
-            self.report.holds = False
-            self.report.violations.append(Witness(rnd, label))
+            self.report.hit(rnd, label)
 
 
 def classify_trace(trace: Trace) -> PropertyReport:

@@ -55,6 +55,18 @@ BAD_INPUTS = {
          "--games", "1"],
         {},
     ),
+    "simulate-alpha-above-half": lambda tmp: (
+        ["simulate", "--strategy", "nsm", "--alpha", "0.7", "--rounds", "5"], {}
+    ),
+    "simulate-alpha-negative": lambda tmp: (
+        ["simulate", "--strategy", "nsm", "--alpha", "-0.5", "--rounds", "5"], {}
+    ),
+    "verify-alpha-above-half": lambda tmp: (
+        ["verify", "--strategy", "nsm", "--alpha", "0.7", "--games", "1"], {}
+    ),
+    "reduce-alpha-above-half": lambda tmp: (
+        ["reduce", "--inner", "nsm", "--kind", "lcm", "--alpha", "0.7", "--rounds", "5"], {}
+    ),
     "threads-not-int": lambda tmp: (
         ["revenue", "--strategy", "frontier", "--mode", "simulate", "--alpha", "0.3",
          "--rounds", "10", "--games", "4"],
