@@ -4,7 +4,9 @@ Closed forms are exact rational functions of the stake fraction alpha,
 valid on (0, 1/2).  Monte Carlo revenue comes in two flavors: the long-run
 chain-share of many independent finite games (`mc_revenue_liminf`) and the
 renewal-reward ratio over settle-to-settle cycles (`mc_revenue_renewal`);
-the two must agree within joint error for recurrent strategies.  The
+the two must agree within joint error for recurrent strategies.  Renewal
+cycles of the stock strategies come from `strategies.iter_cycles`'s cycle
+kernel, which consumes the same draws as the round engine.  The
 remaining checks replay single long games: chain growth rate, decay of the
 one-shot potential reward, and the dynamic-stake variant where the creator
 probability follows Miner 1's coin balance.
@@ -61,7 +63,8 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """Argument outside the strategic regime 0 < alpha < 1/2."""
+    """Argument outside its domain: alpha outside the strategic regime
+    0 < alpha < 1/2, or a count or lead out of range."""
 
 
 class NoSignChange(ValueError):
@@ -80,6 +83,11 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 0.5:
         raise DomainError(f"alpha must be in (0, 1/2), got {alpha}")
     return alpha
+
+
+def _check_count(name: str, n: int) -> None:
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +269,8 @@ def mc_revenue_liminf(
     identical no matter how many workers split the games.
     """
     _check_alpha(alpha)
+    _check_count("rounds", rounds)
+    _check_count("games", games)
     base = seed if seed is not None else 0
     jobs = [
         (strategy_id, alpha, rounds, derive_seed(base, i)) for i in range(games)
@@ -295,6 +305,7 @@ def mc_revenue_renewal(
     """Renewal-reward estimate sum(R1)/sum(R1+R2) over settle-to-settle
     cycles, with a delta-method standard error."""
     _check_alpha(alpha)
+    _check_count("cycles", cycles)
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)
     n = 0

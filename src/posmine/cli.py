@@ -188,9 +188,9 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
         else:
             _strategy(strategy_id)  # reject a bad spec before simulating
             for a in alphas:
-                if cycles:
+                if cycles is not None:
                     rows.append(mc_revenue_renewal(strategy_id, a, cycles, seed=seed))
-                elif rounds and games:
+                elif rounds is not None and games is not None:
                     rows.append(
                         mc_revenue_liminf(strategy_id, a, rounds, games, seed=seed)
                     )
@@ -198,9 +198,7 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
                     raise click.UsageError(
                         "simulate mode needs --cycles or (--rounds and --games)"
                     )
-    except DomainError as e:
-        raise click.UsageError(str(e))
-    except BadThreadCount as e:
+    except (DomainError, BadThreadCount) as e:
         _fail(2, f"usage error: {e}")
     except (NonRecurrent, BlockTreeError) as e:
         _fail(1, f"simulation failed: {e}")
@@ -380,7 +378,7 @@ def stake(strategy_id, alpha0, coins, rounds, seed, out):
     try:
         series = stake_dynamics(strategy_id, alpha0, coins, rounds, seed=seed)
     except DomainError as e:
-        raise click.UsageError(str(e))
+        _fail(2, f"usage error: {e}")
     lines = _header(
         "stake", strategy=strategy_id, alpha0=alpha0, coins=coins,
         rounds=rounds, seed=seed,
@@ -400,7 +398,7 @@ def walk(alpha, lead):
         ex, ey, etau = walk_stats(alpha)
         ruin = ruin_probability(alpha, lead)
     except DomainError as e:
-        raise click.UsageError(str(e))
+        _fail(2, f"usage error: {e}")
     click.echo(f"up {ex:.6f}")
     click.echo(f"down {ey:.6f}")
     click.echo(f"duration {etau:.6f}")

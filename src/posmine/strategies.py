@@ -7,7 +7,9 @@ declaring the position settled).  The engine keeps absolute block labels and
 accumulates locked chain counts across those restarts, so total revenue
 ``r1_total / height_total`` is exact over the whole run.  The engine is the
 package's only round loop: trace replay (``structure.replay_trace``) drives
-it with a :class:`Scripted` strategy and observer hooks.
+it with a :class:`Scripted` strategy and observer hooks.  The one shortcut
+is :func:`iter_cycles`, which plays the stock strategies' settle-to-settle
+cycles as small automata over the same creator draws.
 
 Strategies included: the frontier policy (publish immediately, always
 capitulate), withhold-and-overtake (hold a private lead, publish it all when
@@ -578,7 +580,99 @@ def iter_cycles(
     seed: Optional[int] = None,
     cycle_cap: int = 10**6,
 ) -> Iterator[CycleStats]:
-    """Yield per-cycle chain rewards, a cycle being settle-to-settle."""
+    """Yield per-cycle chain rewards, a cycle being settle-to-settle.
+
+    A strategy whose type is exactly :class:`Frontier`,
+    :class:`WithholdOvertake` or :class:`PatientWithholdOvertake` is played
+    by a cycle kernel that follows the class's nodes straight off the
+    creator draws, with no ``GameState`` and no ``decide``; any other
+    strategy, subclasses included, goes through the :class:`Engine`.  Both
+    paths draw one ``random.Random(seed).random()`` a round and yield the
+    same cycles.  Either raises ``RuntimeError`` as soon as a cycle reaches
+    ``cycle_cap`` rounds without settling.
+    """
+    kind = type(strategy)
+    if kind is Frontier:
+        return _frontier_cycles(alpha, seed)
+    if kind is WithholdOvertake or kind is PatientWithholdOvertake:
+        return _withhold_cycles(alpha, seed, cycle_cap, kind is PatientWithholdOvertake)
+    return _engine_cycles(strategy, alpha, seed, cycle_cap)
+
+
+def _frontier_cycles(alpha: float, seed: Optional[int]) -> Iterator[CycleStats]:
+    """Frontier settles every round on the round's block."""
+    rand = random.Random(seed).random
+    ours, theirs = CycleStats(1, 0, 1), CycleStats(0, 1, 1)
+    while True:
+        yield ours if rand() < alpha else theirs
+
+
+def _withhold_cycles(
+    alpha: float, seed: Optional[int], cycle_cap: int, patient: bool
+) -> Iterator[CycleStats]:
+    """The cycles of :class:`WithholdOvertake` (``patient``:
+    :class:`PatientWithholdOvertake`), one node step a round.
+
+    ``held`` and ``opp`` count the private lead and Miner 2's blocks since
+    it began; ``hb`` is the race base's height.  Every chain block below
+    the base is Miner 2's (each nsm restart moves the base up two of them):
+    a settle Miner 1 wins scores its published path against those ``hb``
+    blocks, one it loses scores Miner 2's whole chain.
+    """
+    rand = random.Random(seed).random
+    node, rounds, held, opp, hb = "start", 0, 0, 0, 0
+    while True:
+        mine = rand() < alpha
+        rounds += 1
+        r1 = None  # set, with r2, when the round settles
+        if node == "start":
+            if mine:
+                node = "hold1"
+            else:
+                r1, r2 = 0, 1
+        elif node == "hold1":
+            if mine:
+                node, held, opp = "lead", 2, 0
+            else:
+                node = "race"
+        elif node == "lead":
+            if mine:
+                held += 1
+            else:
+                opp += 1
+                if opp == held - 1:
+                    r1, r2 = held, 0
+        elif node == "race":
+            if mine:
+                r1, r2 = 2, hb
+            elif patient:
+                node = "stall"
+            else:
+                r1, r2 = 0, hb + 2
+        elif node == "stall":
+            if mine:
+                node = "double"
+            else:
+                r1, r2 = 0, hb + 3
+        elif mine:  # double
+            r1, r2 = 3, hb
+        else:  # Miner 2 went three deep: race again from two blocks up
+            node, hb = "race", hb + 2
+        if r1 is not None:
+            yield CycleStats(r1, r2, rounds)
+            node, rounds, hb = "start", 0, 0
+        elif rounds >= cycle_cap:
+            raise _cycle_overrun(cycle_cap)
+
+
+def _cycle_overrun(cycle_cap: int) -> RuntimeError:
+    return RuntimeError(f"cycle exceeded {cycle_cap} rounds without settling")
+
+
+def _engine_cycles(
+    strategy, alpha: float, seed: Optional[int], cycle_cap: int
+) -> Iterator[CycleStats]:
+    """The cycles of any strategy, played round by round by the Engine."""
     eng = Engine(strategy)
     stream = _creator_stream(alpha, seed)
     t1_mark = t2_mark = 0
@@ -595,4 +689,4 @@ def iter_cycles(
             t1_mark, t2_mark = eng.locked_t1, eng.locked_t2
             rounds_in_cycle = 0
         elif rounds_in_cycle >= cycle_cap:
-            raise RuntimeError(f"cycle exceeded {cycle_cap} rounds without settling")
+            raise _cycle_overrun(cycle_cap)

@@ -67,6 +67,24 @@ BAD_INPUTS = {
     "reduce-alpha-above-half": lambda tmp: (
         ["reduce", "--inner", "nsm", "--kind", "lcm", "--alpha", "0.7", "--rounds", "5"], {}
     ),
+    "revenue-alpha-above-half": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--alpha", "0.7"], {}
+    ),
+    "revenue-negative-cycles": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--mode", "simulate", "--alpha", "0.3",
+         "--cycles", "-5"],
+        {},
+    ),
+    "revenue-negative-games": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--mode", "simulate", "--alpha", "0.3",
+         "--rounds", "10", "--games", "-2"],
+        {},
+    ),
+    "stake-alpha-above-half": lambda tmp: (
+        ["stake", "--strategy", "nsm", "--alpha0", "0.7", "--rounds", "5"], {}
+    ),
+    "walk-alpha-above-half": lambda tmp: (["walk", "--alpha", "0.7"], {}),
+    "walk-negative-lead": lambda tmp: (["walk", "--alpha", "0.3", "--lead", "-1"], {}),
     "threads-not-int": lambda tmp: (
         ["revenue", "--strategy", "frontier", "--mode", "simulate", "--alpha", "0.3",
          "--rounds", "10", "--games", "4"],
