@@ -4,12 +4,16 @@ Closed forms are exact rational functions of the stake fraction alpha,
 valid on (0, 1/2).  Monte Carlo revenue comes in two flavors: the long-run
 chain-share of many independent finite games (`mc_revenue_liminf`) and the
 renewal-reward ratio over settle-to-settle cycles (`mc_revenue_renewal`);
-the two must agree within joint error for recurrent strategies.  Renewal
-cycles of the stock strategies come from `strategies.iter_cycles`'s cycle
-kernel, which consumes the same draws as the round engine.  The
+the two must agree within joint error for recurrent strategies.  The
 remaining checks replay single long games: chain growth rate, decay of the
 one-shot potential reward, and the dynamic-stake variant where the creator
 probability follows Miner 1's coin balance.
+
+Renewal cycles, long-game totals, growth series and dynamic-stake runs of
+the stock strategies are played by `strategies.StockStepper` (through
+`iter_cycles`, `run_totals` and `make_stepper`), which consumes the same
+draws as the round engine and builds no block tree.  `mc_value` and the
+decay check need the live block tree, so they always run the engine.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocktree import GameState, MINER1, MINER2, potential_reward
+from .blocktree import GameState, potential_reward
 from .strategies import (
+    DomainError,
     Engine,
+    _check_rounds,
     _creator_stream,
     derive_seed,
     iter_cycles,
+    make_stepper,
     make_strategy,
     run_totals,
 )
@@ -37,6 +44,7 @@ __all__ = [
     "DomainError",
     "NoSignChange",
     "NonRecurrent",
+    "MajorityStake",
     "BadThreadCount",
     "rev_frontier",
     "rev_sm_closed",
@@ -62,17 +70,22 @@ __all__ = [
 ]
 
 
-class DomainError(ValueError):
-    """Argument outside its domain: alpha outside the strategic regime
-    0 < alpha < 1/2, or a count or lead out of range."""
-
-
 class NoSignChange(ValueError):
     """Bisection bracket does not straddle a root."""
 
 
 class NonRecurrent(RuntimeError):
     """A cycle or episode exceeded the round cap without settling."""
+
+
+class MajorityStake(RuntimeError):
+    """A dynamic-stake run left Miner 1 with half the coins or more, where
+    the game has no strategic regime (and withholding need never settle)."""
+
+    def __init__(self, round_: int, share: float):
+        super().__init__(f"Miner 1's stake share reached {share!r} >= 1/2 at round {round_}")
+        self.round = round_
+        self.share = share
 
 
 class BadThreadCount(ValueError):
@@ -469,7 +482,7 @@ class StakeSeries:
 
 
 def stake_dynamics(
-    strategy_id: str,
+    strategy,
     alpha0: float,
     coins: int,
     rounds: int,
@@ -477,29 +490,34 @@ def stake_dynamics(
 ) -> StakeSeries:
     """Replay a game where the creator draw follows Miner 1's live coin
     share; every block locked into the chain at a settle mints one coin to
-    its creator.  (Blocks only mint once they can no longer be forked.)"""
+    its creator.  (Blocks only mint once they can no longer be forked.)
+
+    ``strategy`` is a name or a strategy object; the rounds are played by
+    ``strategies.make_stepper``, one draw a round.  Raises
+    :class:`MajorityStake` at the first settle that leaves Miner 1 with a
+    share of 1/2 or more."""
     _check_alpha(alpha0)
     if coins < 1:
         raise DomainError("need at least one initial coin")
-    strategy = make_strategy(strategy_id)
-    eng = Engine(strategy)
-    rng = random.Random(seed)
+    _check_rounds(rounds)
+    if isinstance(strategy, str):
+        strategy = make_strategy(strategy)
+    step = make_stepper(strategy).step
+    rand = random.Random(seed).random
     m1 = round(alpha0 * coins)
     total = coins
-    minted_t1 = 0
-    minted_h = 0
     out = StakeSeries(alpha0=alpha0, coins0=coins)
+    fractions = out.fractions
     frac = m1 / total
-    for _ in range(rounds):
-        creator = MINER1 if rng.random() < frac else MINER2
-        _, _, _, _, capped = eng.play(creator)
-        if capped:
-            d_t1 = eng.locked_t1 - minted_t1
-            d_h = eng.locked_h - minted_h
-            m1 += d_t1
-            total += d_h
-            minted_t1 = eng.locked_t1
-            minted_h = eng.locked_h
+    if frac >= 0.5:
+        raise DomainError(f"{coins} coins at alpha0 {alpha0} give Miner 1 a share of {frac} >= 1/2")
+    for r in range(1, rounds + 1):
+        settled = step(rand() < frac)
+        if settled is not None:
+            m1 += settled[0]
+            total += settled[0] + settled[1]
             frac = m1 / total
-        out.fractions.append(frac)
+            if frac >= 0.5:
+                raise MajorityStake(r, frac)
+        fractions.append(frac)
     return out

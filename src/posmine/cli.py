@@ -30,6 +30,7 @@ from .reductions import lcm_reduce, orderly_reduce
 from .analysis import (
     BadThreadCount,
     DomainError,
+    MajorityStake,
     NonRecurrent,
     RevenuePoint,
     mc_revenue_liminf,
@@ -66,9 +67,9 @@ def _grid(spec: str) -> list[float]:
         parts = [float(x) for x in spec.split(":")]
         lo, hi, step = parts
     except ValueError:
-        raise click.UsageError(f"bad grid {spec!r}, expected lo:hi:step")
+        _fail(2, f"usage error: bad grid {spec!r}, expected lo:hi:step")
     if step <= 0 or hi < lo:
-        raise click.UsageError(f"bad grid {spec!r}: need step > 0 and hi >= lo")
+        _fail(2, f"usage error: bad grid {spec!r}: need step > 0 and hi >= lo")
     pts = []
     i = 0
     x = lo
@@ -171,16 +172,15 @@ def main() -> None:
 def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, out):
     """Closed-form or simulated revenue, one CSV row per alpha."""
     if (alpha is None) == (alpha_grid is None):
-        raise click.UsageError("give exactly one of --alpha / --alpha-grid")
+        _fail(2, "usage error: give exactly one of --alpha / --alpha-grid")
     alphas = [alpha] if alpha is not None else _grid(alpha_grid)
     rows = []
     try:
         if mode == "closed-form":
             fn = _CLOSED_FORMS.get(strategy_id)
             if fn is None:
-                raise click.UsageError(
-                    f"no closed form for {strategy_id!r} (have {sorted(_CLOSED_FORMS)})"
-                )
+                have = sorted(_CLOSED_FORMS)
+                _fail(2, f"usage error: no closed form for {strategy_id!r} (have {have})")
             for a in alphas:
                 rows.append(
                     RevenuePoint(a, strategy_id, "closed_form", fn(a), seed=seed)
@@ -195,9 +195,7 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
                         mc_revenue_liminf(strategy_id, a, rounds, games, seed=seed)
                     )
                 else:
-                    raise click.UsageError(
-                        "simulate mode needs --cycles or (--rounds and --games)"
-                    )
+                    _fail(2, "usage error: simulate mode needs --cycles or (--rounds and --games)")
     except (DomainError, BadThreadCount) as e:
         _fail(2, f"usage error: {e}")
     except (NonRecurrent, BlockTreeError) as e:
@@ -228,6 +226,8 @@ def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
     strategy = _strategy(strategy_id)
     try:
         trace = run_game(strategy, alpha, rounds, seed=seed)
+    except DomainError as e:
+        _fail(2, f"usage error: {e}")
     except BlockTreeError as e:
         _fail(1, f"simulation failed: {e}")
     lines = _header(
@@ -281,7 +281,9 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
     wanted = PROPERTIES if props == "all" else tuple(p.strip() for p in props.split(","))
     unknown = [p for p in wanted if p not in PROPERTIES]
     if unknown:
-        raise click.UsageError(f"unknown properties: {unknown} (have {PROPERTIES})")
+        _fail(2, f"usage error: unknown properties: {unknown} (have {PROPERTIES})")
+    if games < 1:
+        _fail(2, f"usage error: games must be >= 1, got {games}")
     failures: dict[str, str] = {}
     checked = {p: 0 for p in wanted}
     mon_fail: dict[str, str] = {}
@@ -305,6 +307,8 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
                 if not ov.holds and "checkpoint_override" not in mon_fail:
                     w = ov.violations[0]
                     mon_fail["checkpoint_override"] = f"game={g} round={w.round} {w.detail}"
+    except DomainError as e:
+        _fail(2, f"usage error: {e}")
     except BlockTreeError as e:
         _fail(1, f"simulation failed: {e}")
     click.echo(f"strategy: {strategy_id}")
@@ -341,6 +345,8 @@ def reduce(inner_id, kind, rounds, seed, alpha, out):
     try:
         t_inner = run_game(inner, alpha, rounds, seed=seed)
         t_red = run_game(wrapped, alpha, rounds, seed=seed)
+    except DomainError as e:
+        _fail(2, f"usage error: {e}")
     except BlockTreeError as e:
         _fail(1, f"reduction failed: {e}")
     lines = _header(
@@ -379,6 +385,8 @@ def stake(strategy_id, alpha0, coins, rounds, seed, out):
         series = stake_dynamics(strategy_id, alpha0, coins, rounds, seed=seed)
     except DomainError as e:
         _fail(2, f"usage error: {e}")
+    except MajorityStake as e:
+        _fail(1, f"simulation failed: {e}")
     lines = _header(
         "stake", strategy=strategy_id, alpha0=alpha0, coins=coins,
         rounds=rounds, seed=seed,

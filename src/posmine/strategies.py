@@ -6,10 +6,13 @@ current chain and restart from a fresh single-genesis state (the strategy is
 declaring the position settled).  The engine keeps absolute block labels and
 accumulates locked chain counts across those restarts, so total revenue
 ``r1_total / height_total`` is exact over the whole run.  The engine is the
-package's only round loop: trace replay (``structure.replay_trace``) drives
-it with a :class:`Scripted` strategy and observer hooks.  The one shortcut
-is :func:`iter_cycles`, which plays the stock strategies' settle-to-settle
-cycles as small automata over the same creator draws.
+package's only round loop over a block tree: trace replay
+(``structure.replay_trace``) drives it with a :class:`Scripted` strategy and
+observer hooks.  The one shortcut is :class:`StockStepper`, which plays the
+stock strategies one round at a time as small automata over the same creator
+draws, with no block tree; :func:`iter_cycles`, :func:`run_totals` and
+``analysis.stake_dynamics`` use it for those exact types and the engine for
+every other strategy.
 
 Strategies included: the frontier policy (publish immediately, always
 capitulate), withhold-and-overtake (hold a private lead, publish it all when
@@ -22,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .blocktree import (
     GENESIS,
@@ -46,6 +49,7 @@ from .blocktree import (
 
 __all__ = [
     "StrategyDecision",
+    "DomainError",
     "UnreachableState",
     "ScriptError",
     "ScriptExhaustedMismatch",
@@ -61,6 +65,8 @@ __all__ = [
     "Trace",
     "GameTotals",
     "CycleStats",
+    "StockStepper",
+    "make_stepper",
     "run_game",
     "run_totals",
     "iter_cycles",
@@ -78,6 +84,16 @@ class StrategyDecision:
 
 # Decisions are frozen, so rounds without a move can share one.
 _NO_MOVE = StrategyDecision(WAIT, False)
+
+
+class DomainError(ValueError):
+    """Argument outside its domain: alpha outside the strategic regime
+    0 < alpha < 1/2, or a count or lead out of range."""
+
+
+def _check_rounds(rounds: int) -> None:
+    if rounds < 0:
+        raise DomainError(f"rounds must be >= 0, got {rounds}")
 
 
 class UnreachableState(BlockTreeError):
@@ -496,8 +512,10 @@ class GameTotals:
     caps: int
 
 
-@dataclass(frozen=True)
-class CycleStats:
+class CycleStats(NamedTuple):
+    """One settle-to-settle cycle.  A named tuple rather than a frozen
+    dataclass: the cycle loop builds one per cycle."""
+
     r1: int
     r2: int
     rounds: int
@@ -507,12 +525,16 @@ def _creator_stream(
     alpha: float, seed: Optional[int], explicit=None, needed: Optional[int] = None
 ) -> Iterator[int]:
     """The creator of each round: the ``explicit`` list if one is given
-    (it must hold at least ``needed`` entries), else Miner 1 with
-    probability ``alpha`` from ``random.Random(seed)``, one draw a round."""
+    (it must hold at least ``needed`` entries, each 1 or 2), else Miner 1
+    with probability ``alpha`` from ``random.Random(seed)``, one draw a
+    round."""
     if explicit is None:
         return _draws(alpha, random.Random(seed))
     if needed is not None and len(explicit) < needed:
         raise ValueError(f"{len(explicit)} creators given, {needed} needed")
+    for c in explicit[:needed]:
+        if c != MINER1 and c != MINER2:
+            raise ValueError(f"creator must be 1 or 2, got {c}")
     return iter(explicit)
 
 
@@ -529,6 +551,7 @@ def run_game(
     creators=None,
 ) -> Trace:
     """Play ``rounds`` rounds and record everything (replayable trace)."""
+    _check_rounds(rounds)
     eng = Engine(strategy)
     name = getattr(strategy, "name", strategy.__class__.__name__)
     trace = Trace(strategy=name, alpha=alpha, seed=seed)
@@ -548,6 +571,132 @@ def run_game(
     return trace
 
 
+# ---------------------------------------------------------------------------
+# steppers: one round at a time, reporting only settles and the live chain
+
+
+class StockStepper:
+    """The stock strategies' node rules, one round at a time, with no block
+    tree: ``step(mine)`` plays a round whose block is Miner 1's if ``mine``
+    and returns the settle payoff ``(r1, r2)``, or None mid-cycle.
+
+    The nodes are :class:`WithholdOvertake`'s start/hold1/lead/race plus
+    :class:`PatientWithholdOvertake`'s stall/double; :class:`Frontier` is
+    the start node settling on every block.  ``held`` and ``opp`` count the
+    private lead and Miner 2's blocks since it began; ``hb`` is the race
+    base's height.  Every chain block below the base is Miner 2's (each nsm
+    restart moves the base up two of them): a settle Miner 1 wins scores its
+    published path against those ``hb`` blocks, one it loses scores Miner
+    2's whole chain.  Mid-cycle Miner 1 owns no public chain block.
+    """
+
+    __slots__ = ("kind", "node", "held", "opp", "hb")
+
+    def __init__(self, kind: str):
+        self.kind = kind  # frontier | sm | nsm
+        self.node, self.held, self.opp, self.hb = "start", 0, 0, 0
+
+    def height(self) -> int:
+        """The public chain's height inside the live cycle."""
+        node = self.node
+        if node == "lead":
+            return self.opp
+        if node == "race":
+            return self.hb + 1
+        if node == "stall" or node == "double":
+            return self.hb + 2
+        return 0  # start, hold1
+
+    def chain_owned(self) -> int:
+        """Miner 1's blocks on the live public chain: none mid-cycle."""
+        return 0
+
+    def step(self, mine: bool) -> Optional[tuple[int, int]]:
+        node = self.node
+        if node == "start":
+            if not mine:
+                return _LOST
+            if self.kind == "frontier":
+                return _WON
+            self.node = "hold1"
+            return None
+        if node == "lead":
+            if mine:
+                self.held += 1
+                return None
+            self.opp += 1
+            if self.opp < self.held - 1:
+                return None
+            self.node = "start"
+            return self.held, 0
+        if node == "hold1":
+            if mine:
+                self.node, self.held, self.opp = "lead", 2, 0
+            else:
+                self.node = "race"
+            return None
+        hb = self.hb
+        if node == "race":
+            if mine:
+                return self._settle(2, hb)
+            if self.kind == "nsm":
+                self.node = "stall"
+                return None
+            return self._settle(0, hb + 2)
+        if node == "stall":
+            if mine:
+                self.node = "double"
+                return None
+            return self._settle(0, hb + 3)
+        if mine:  # double
+            return self._settle(3, hb)
+        # Miner 2 went three deep: race again from two blocks up
+        self.node, self.hb = "race", hb + 2
+        return None
+
+    def _settle(self, r1: int, r2: int) -> tuple[int, int]:
+        self.node, self.hb = "start", 0
+        return r1, r2
+
+
+_WON, _LOST = (1, 0), (0, 1)
+_STOCK_KINDS = {Frontier: "frontier", WithholdOvertake: "sm", PatientWithholdOvertake: "nsm"}
+
+
+class _EngineStepper:
+    """The stepper interface over the :class:`Engine`, for any strategy."""
+
+    __slots__ = ("engine", "t1", "t2")
+
+    def __init__(self, strategy):
+        self.engine = Engine(strategy)
+        self.t1 = self.t2 = 0  # locked counts at the last settle
+
+    def height(self) -> int:
+        return self.engine.state.tip_height()
+
+    def chain_owned(self) -> int:
+        return self.engine.state.chain_owned(MINER1)
+
+    def step(self, mine: bool) -> Optional[tuple[int, int]]:
+        eng = self.engine
+        *_, settled = eng.play(MINER1 if mine else MINER2)
+        if not settled:
+            return None
+        r1, r2 = eng.locked_t1 - self.t1, eng.locked_t2 - self.t2
+        self.t1, self.t2 = eng.locked_t1, eng.locked_t2
+        return r1, r2
+
+
+def make_stepper(strategy):
+    """A :class:`StockStepper` when ``type(strategy)`` is exactly
+    :class:`Frontier`, :class:`WithholdOvertake` or
+    :class:`PatientWithholdOvertake`; otherwise, subclasses included, the
+    same interface played by the :class:`Engine`."""
+    kind = _STOCK_KINDS.get(type(strategy))
+    return StockStepper(kind) if kind else _EngineStepper(strategy)
+
+
 def run_totals(
     strategy,
     alpha: float,
@@ -556,21 +705,30 @@ def run_totals(
     creators=None,
     heights_out=None,
 ) -> GameTotals:
-    """Lean loop: totals only; optionally fill a preallocated per-round
-    chain-height array (for growth-rate checks)."""
-    eng = Engine(strategy)
-    stream = _creator_stream(alpha, seed, creators, rounds)
-    play = eng.play
-    for i in range(rounds):
-        play(next(stream))
+    """Totals only, played by :func:`make_stepper` (no block tree for the
+    stock strategies); optionally fill a preallocated per-round chain-height
+    array (for growth-rate checks).  Same draws and totals as
+    :func:`run_game`."""
+    _check_rounds(rounds)
+    stepper = make_stepper(strategy)
+    step, height = stepper.step, stepper.height
+    mines = map(MINER1.__eq__, _creator_stream(alpha, seed, creators, rounds))
+    t1 = t2 = caps = 0
+    for i, mine in zip(range(rounds), mines):
+        settled = step(mine)
+        if settled is not None:
+            t1 += settled[0]
+            t2 += settled[1]
+            caps += 1
         if heights_out is not None:
-            heights_out[i] = eng.locked_h + eng.state.tip_height()
+            heights_out[i] = t1 + t2 + height()
+    live_t1, live_h = stepper.chain_owned(), height()
     return GameTotals(
         rounds=rounds,
-        t1=eng.t1_total(),
-        t2=eng.t2_total(),
-        height=eng.height_total(),
-        caps=eng.caps,
+        t1=t1 + live_t1,
+        t2=t2 + live_h - live_t1,
+        height=t1 + t2 + live_h,
+        caps=caps,
     )
 
 
@@ -582,111 +740,20 @@ def iter_cycles(
 ) -> Iterator[CycleStats]:
     """Yield per-cycle chain rewards, a cycle being settle-to-settle.
 
-    A strategy whose type is exactly :class:`Frontier`,
-    :class:`WithholdOvertake` or :class:`PatientWithholdOvertake` is played
-    by a cycle kernel that follows the class's nodes straight off the
-    creator draws, with no ``GameState`` and no ``decide``; any other
-    strategy, subclasses included, goes through the :class:`Engine`.  Both
-    paths draw one ``random.Random(seed).random()`` a round and yield the
-    same cycles.  Either raises ``RuntimeError`` as soon as a cycle reaches
+    The rounds are played by :func:`make_stepper`: a :class:`StockStepper`
+    for the exact stock types, the :class:`Engine` for any other strategy.
+    Both draw one ``random.Random(seed).random()`` a round and yield the
+    same cycles.  Raises ``RuntimeError`` as soon as a cycle reaches
     ``cycle_cap`` rounds without settling.
     """
-    kind = type(strategy)
-    if kind is Frontier:
-        return _frontier_cycles(alpha, seed)
-    if kind is WithholdOvertake or kind is PatientWithholdOvertake:
-        return _withhold_cycles(alpha, seed, cycle_cap, kind is PatientWithholdOvertake)
-    return _engine_cycles(strategy, alpha, seed, cycle_cap)
-
-
-def _frontier_cycles(alpha: float, seed: Optional[int]) -> Iterator[CycleStats]:
-    """Frontier settles every round on the round's block."""
+    step = make_stepper(strategy).step
     rand = random.Random(seed).random
-    ours, theirs = CycleStats(1, 0, 1), CycleStats(0, 1, 1)
+    rounds = 0
     while True:
-        yield ours if rand() < alpha else theirs
-
-
-def _withhold_cycles(
-    alpha: float, seed: Optional[int], cycle_cap: int, patient: bool
-) -> Iterator[CycleStats]:
-    """The cycles of :class:`WithholdOvertake` (``patient``:
-    :class:`PatientWithholdOvertake`), one node step a round.
-
-    ``held`` and ``opp`` count the private lead and Miner 2's blocks since
-    it began; ``hb`` is the race base's height.  Every chain block below
-    the base is Miner 2's (each nsm restart moves the base up two of them):
-    a settle Miner 1 wins scores its published path against those ``hb``
-    blocks, one it loses scores Miner 2's whole chain.
-    """
-    rand = random.Random(seed).random
-    node, rounds, held, opp, hb = "start", 0, 0, 0, 0
-    while True:
-        mine = rand() < alpha
         rounds += 1
-        r1 = None  # set, with r2, when the round settles
-        if node == "start":
-            if mine:
-                node = "hold1"
-            else:
-                r1, r2 = 0, 1
-        elif node == "hold1":
-            if mine:
-                node, held, opp = "lead", 2, 0
-            else:
-                node = "race"
-        elif node == "lead":
-            if mine:
-                held += 1
-            else:
-                opp += 1
-                if opp == held - 1:
-                    r1, r2 = held, 0
-        elif node == "race":
-            if mine:
-                r1, r2 = 2, hb
-            elif patient:
-                node = "stall"
-            else:
-                r1, r2 = 0, hb + 2
-        elif node == "stall":
-            if mine:
-                node = "double"
-            else:
-                r1, r2 = 0, hb + 3
-        elif mine:  # double
-            r1, r2 = 3, hb
-        else:  # Miner 2 went three deep: race again from two blocks up
-            node, hb = "race", hb + 2
-        if r1 is not None:
-            yield CycleStats(r1, r2, rounds)
-            node, rounds, hb = "start", 0, 0
+        settled = step(rand() < alpha)
+        if settled is not None:
+            yield CycleStats(settled[0], settled[1], rounds)
+            rounds = 0
         elif rounds >= cycle_cap:
-            raise _cycle_overrun(cycle_cap)
-
-
-def _cycle_overrun(cycle_cap: int) -> RuntimeError:
-    return RuntimeError(f"cycle exceeded {cycle_cap} rounds without settling")
-
-
-def _engine_cycles(
-    strategy, alpha: float, seed: Optional[int], cycle_cap: int
-) -> Iterator[CycleStats]:
-    """The cycles of any strategy, played round by round by the Engine."""
-    eng = Engine(strategy)
-    stream = _creator_stream(alpha, seed)
-    t1_mark = t2_mark = 0
-    rounds_in_cycle = 0
-    while True:
-        _, _, _, _, capped = eng.play(next(stream))
-        rounds_in_cycle += 1
-        if capped:
-            yield CycleStats(
-                r1=eng.locked_t1 - t1_mark,
-                r2=eng.locked_t2 - t2_mark,
-                rounds=rounds_in_cycle,
-            )
-            t1_mark, t2_mark = eng.locked_t1, eng.locked_t2
-            rounds_in_cycle = 0
-        elif rounds_in_cycle >= cycle_cap:
-            raise _cycle_overrun(cycle_cap)
+            raise RuntimeError(f"cycle exceeded {cycle_cap} rounds without settling")

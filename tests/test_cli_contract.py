@@ -83,6 +83,41 @@ BAD_INPUTS = {
     "stake-alpha-above-half": lambda tmp: (
         ["stake", "--strategy", "nsm", "--alpha0", "0.7", "--rounds", "5"], {}
     ),
+    "stake-negative-rounds": lambda tmp: (
+        ["stake", "--strategy", "nsm", "--alpha0", "0.3", "--rounds", "-5"], {}
+    ),
+    "stake-share-starts-at-half": lambda tmp: (
+        ["stake", "--strategy", "nsm", "--alpha0", "0.3", "--coins", "2", "--rounds", "5"], {}
+    ),
+    "simulate-negative-rounds": lambda tmp: (
+        ["simulate", "--strategy", "sm", "--alpha", "0.3", "--rounds", "-3"], {}
+    ),
+    "verify-zero-games": lambda tmp: (["verify", "--strategy", "sm", "--games", "0"], {}),
+    "verify-negative-rounds": lambda tmp: (
+        ["verify", "--strategy", "sm", "--rounds", "-3", "--games", "1"], {}
+    ),
+    "verify-unknown-property": lambda tmp: (
+        ["verify", "--strategy", "sm", "--properties", "bogus", "--games", "1"], {}
+    ),
+    "reduce-negative-rounds": lambda tmp: (
+        ["reduce", "--inner", "nsm", "--kind", "orderly", "--rounds", "-3"], {}
+    ),
+    "revenue-no-alpha": lambda tmp: (["revenue", "--strategy", "sm"], {}),
+    "revenue-alpha-and-grid": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--alpha", "0.3", "--alpha-grid", "0.2:0.3:0.05"], {}
+    ),
+    "revenue-no-closed-form": lambda tmp: (
+        ["revenue", "--strategy", "scripted:@moves.txt", "--alpha", "0.3"], {}
+    ),
+    "revenue-simulate-without-size": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--mode", "simulate", "--alpha", "0.3"], {}
+    ),
+    "revenue-grid-not-numbers": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--alpha-grid", "0.2:x:0.05"], {}
+    ),
+    "revenue-grid-backwards": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--alpha-grid", "0.3:0.2:0.05"], {}
+    ),
     "walk-alpha-above-half": lambda tmp: (["walk", "--alpha", "0.7"], {}),
     "walk-negative-lead": lambda tmp: (["walk", "--alpha", "0.3", "--lead", "-1"], {}),
     "threads-not-int": lambda tmp: (
@@ -113,6 +148,18 @@ def test_a_script_that_does_not_fit_the_game_exits_1(runner, tmp_path, command):
     assert res.exit_code == 1
     assert res.stderr.startswith("simulation failed: ")
     assert "Traceback" not in res.stdout + res.stderr
+
+
+def test_stake_past_half_exits_1(runner):
+    res = runner.invoke(
+        main, ["stake", "--strategy", "nsm", "--alpha0", "0.35", "--coins", "1000",
+               "--rounds", "20000", "--seed", "1"],
+    )
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("simulation failed: ")
+    assert "round 5831" in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
 
 
 # sha256 of each command's standard output (and of the simulate DOT file,
