@@ -375,6 +375,7 @@ def mc_value(
     """Monte Carlo weighted game reward (1-lam)*R1 - lam*R2 accumulated
     from ``start`` until the strategy settles."""
     _check_alpha(alpha)
+    _check_count("episodes", episodes)
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)
     creators = _creator_stream(alpha, seed)
@@ -423,6 +424,7 @@ def growth_rate_check(
     """Chain height per round must stay above (1 - alpha) - slack over the
     second half of the run."""
     _check_alpha(alpha)
+    _check_count("rounds", rounds)
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)
     heights = np.zeros(rounds, dtype=np.int64)
@@ -452,6 +454,7 @@ def potential_reward_decay_check(
     """One-shot publishable advantage divided by the round number must fall
     below eps over the second half of the run."""
     _check_alpha(alpha)
+    _check_count("rounds", rounds)
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)
     eng = Engine(strategy)

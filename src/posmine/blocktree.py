@@ -462,6 +462,11 @@ def capitulate(state: GameState, c: int) -> GameState:
     a survivor whose parent was forgotten is re-pointed at its nearest
     surviving ancestor, or at genesis.  Raises :class:`BadHeight` if ``c``
     exceeds the chain height.
+
+    Settling at the tip (every settle the engine makes) is the fast path:
+    no published block lies above the tip, so the new state is a fresh
+    genesis-only tree holding just the withheld survivors, and needs no
+    re-ranking and no cache rebuild.
     """
     if c < 0 or c > state.tip_height():
         raise BadHeight(f"no chain block at height {c}")
@@ -469,7 +474,6 @@ def capitulate(state: GameState, c: int) -> GameState:
     while state._heights[g] > c:
         g = state.parent[g]
 
-    keep_pub = {v for v in state.parent if state._heights[v] >= c + 1}
     keep_u1 = {u for u in state.unpublished_1 if _max_reachable(state, u) >= c + 1}
     keep_u2 = {u for u in state.unpublished_2 if _max_reachable(state, u) >= c + 1}
 
@@ -480,7 +484,10 @@ def capitulate(state: GameState, c: int) -> GameState:
     s.unpublished_2 = keep_u2
     for u in keep_u1 | keep_u2:
         s.creator[u] = state.creator[u]
+    if g == state._tip:
+        return s
 
+    keep_pub = {v for v in state.parent if state._heights[v] >= c + 1}
     for v in sorted(keep_pub):
         anc = state.parent[v]
         while anc != GENESIS and anc not in keep_pub:

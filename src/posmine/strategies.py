@@ -472,7 +472,9 @@ class Trace:
     """Full per-round record of one game, sufficient to replay it exactly.
 
     ``final_state`` is the live state the game ended in (set by
-    :func:`run_game`; not part of equality)."""
+    :func:`run_game`; not part of equality).  ``_checks`` is private to
+    :mod:`posmine.structure`: the reports of its one shared replay, with a
+    snapshot of the lists that replay read."""
 
     strategy: str
     alpha: float
@@ -486,6 +488,7 @@ class Trace:
     r1: list[int] = field(default_factory=list)
     r2: list[int] = field(default_factory=list)
     final_state: Optional[GameState] = field(default=None, compare=False, repr=False)
+    _checks: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def rounds(self) -> int:
         return len(self.creators)

@@ -9,10 +9,18 @@ mid-round :class:`GameState` (Miner 2 has already acted; pass a
 ``HalfState``'s ``state``); the trace classifiers replay a recorded game and check
 every action, plus the two retrospective properties (opportunistic,
 checkpoint-recurrent) that need to see how the game continued.
+
+The three trace checks (:func:`classify_trace`, :func:`fork_ownership_check`,
+:func:`checkpoint_override_check`) share one replay per trace: the first of
+them called on a trace replays it once with the observers of all three and
+keeps the three reports on the trace, next to a snapshot of the lists the
+replay read.  A later call reuses them while the trace still matches the
+snapshot, replays again when it does not, and always returns a fresh copy.
 """
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -347,6 +355,9 @@ def replay_trace(trace: Trace, observers: list) -> GameState:
 
     Each round's chain height is checked against the trace's recorded
     heights; the first mismatch raises :class:`ReplayDiverged`.
+
+    The trace checks below call it once per trace between them (see the
+    module docstring); it keeps no state of its own.
     """
     moves = [
         (i + 1, action, settled)
@@ -534,30 +545,71 @@ class _OverrideMonitor:
             self.report.hit(rnd, label)
 
 
-def classify_trace(trace: Trace) -> PropertyReport:
-    """Replay a trace and evaluate all six structural properties."""
+def _classifier_run() -> tuple[PropertyReport, list]:
     report = PropertyReport()
-    replay_trace(
-        trace,
-        [
-            _ActionClassifierMonitor(report),
-            _OpportunisticMonitor(report.opportunistic),
-            _CheckpointRecurrentMonitor(report.checkpoint_recurrent),
-        ],
-    )
-    return report
+    return report, [
+        _ActionClassifierMonitor(report),
+        _OpportunisticMonitor(report.opportunistic),
+        _CheckpointRecurrentMonitor(report.checkpoint_recurrent),
+    ]
+
+
+def _fork_ownership_run() -> tuple[MonitorReport, list]:
+    report = MonitorReport()
+    return report, [_ForkOwnershipMonitor(report)]
+
+
+def _override_run() -> tuple[MonitorReport, list]:
+    report = MonitorReport()
+    return report, [_OverrideMonitor(report)]
+
+
+_RUNS = (_classifier_run, _fork_ownership_run, _override_run)
+
+
+def _checked(trace: Trace, run):
+    """A fresh copy of ``run``'s report from the trace's shared replay.
+
+    The shared replay carries every run's observers and is stored on the
+    trace with a snapshot of ``creators``, ``m1_actions``, ``cap_flags``
+    and ``heights``; it is redone when any of them no longer matches.  If
+    it raises, ``run``'s observers replay alone and that outcome stands,
+    so an error is the one this check raises by itself.
+    """
+    lists = (trace.creators, trace.m1_actions, trace.cap_flags, trace.heights)
+    memo = trace._checks
+    if memo is None or memo[0] != lists:
+        runs = [r() for r in _RUNS]
+        try:
+            replay_trace(trace, [obs for _, observers in runs for obs in observers])
+        except Exception:  # whatever broke, this check's own replay decides
+            report, observers = run()
+            replay_trace(trace, observers)
+            return report
+        memo = trace._checks = (
+            tuple(map(list, lists)),
+            {r: report for r, (report, _) in zip(_RUNS, runs)},
+        )
+    return copy.deepcopy(memo[1][run])
+
+
+def classify_trace(trace: Trace) -> PropertyReport:
+    """Evaluate all six structural properties on a recorded game.
+
+    Served by the trace's shared replay (see the module docstring)."""
+    return _checked(trace, _classifier_run)
 
 
 def fork_ownership_check(trace: Trace) -> MonitorReport:
-    """Assert chain-side fork ownership at every equal-height block pair."""
-    report = MonitorReport()
-    replay_trace(trace, [_ForkOwnershipMonitor(report)])
-    return report
+    """Assert chain-side fork ownership at every equal-height block pair.
+
+    Served by the trace's shared replay (see the module docstring)."""
+    return _checked(trace, _fork_ownership_run)
 
 
 def checkpoint_override_check(trace: Trace) -> MonitorReport:
     """Assert every checkpoint-displacing trimmed fork re-establishes a
-    checkpoint at the new tip; non-trimmed publishes are reported skipped."""
-    report = MonitorReport()
-    replay_trace(trace, [_OverrideMonitor(report)])
-    return report
+    checkpoint at the new tip; non-trimmed publishes are reported skipped.
+
+    Served by the trace's shared replay (see the module docstring)."""
+    return _checked(trace, _override_run)

@@ -208,6 +208,12 @@ def test_value_from_a_two_block_lead():
         assert v.estimate == pytest.approx(expect_r1 * (1 - lam), abs=5 * v.stderr + 1e-9)
 
 
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_value_needs_at_least_one_episode(episodes):
+    with pytest.raises(DomainError, match="episodes"):
+        mc_value("sm", initial_state(), 0.3, 0.25, episodes=episodes, seed=3)
+
+
 # --- long-game checks ---------------------------------------------------------
 
 
@@ -243,6 +249,14 @@ def test_a_hoarder_on_a_lucky_stream_fails_the_decay_check():
     )
     assert not rep.holds
     assert rep.tail_max == 1.0
+
+
+@pytest.mark.parametrize("rounds", [0, -5])
+@pytest.mark.parametrize("check", [growth_rate_check, potential_reward_decay_check])
+def test_long_game_checks_need_at_least_one_round(check, rounds):
+    # a check over no rounds would pass (decay) or fail (growth) on nothing
+    with pytest.raises(DomainError, match="rounds"):
+        check("sm", 0.3, rounds=rounds, seed=1)
 
 
 # --- dynamic stake ------------------------------------------------------------
