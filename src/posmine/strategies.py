@@ -17,7 +17,10 @@ every other strategy.
 Strategies included: the frontier policy (publish immediately, always
 capitulate), withhold-and-overtake (hold a private lead, publish it all when
 Miner 2 gets within one), its patient variant (when a 1-block race is lost,
-keep going for a deeper double-or-nothing fork), and scripted replay.
+keep going for a deeper double-or-nothing fork), and scripted replay.  The
+two withholding strategies keep no node memory of their own: each plays a
+:class:`StockStepper`, the one definition of their node rules, and turns a
+settle Miner 1 wins into a publish.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 from .blocktree import (
-    GENESIS,
     MINER1,
     MINER2,
     WAIT,
@@ -57,7 +59,6 @@ __all__ = [
     "WithholdOvertake",
     "PatientWithholdOvertake",
     "Scripted",
-    "frontier_decide",
     "make_strategy",
     "parse_script",
     "format_action",
@@ -83,7 +84,7 @@ class StrategyDecision:
 
 
 # Decisions are frozen, so rounds without a move can share one.
-_NO_MOVE = StrategyDecision(WAIT, False)
+_NO_MOVE, _FOLD = StrategyDecision(WAIT, False), StrategyDecision(WAIT, True)
 
 
 class DomainError(ValueError):
@@ -114,18 +115,11 @@ class ScriptExhaustedMismatch(BlockTreeError):
 # strategies
 
 
-def frontier_decide(half: HalfState, miner: int = MINER1) -> StrategyDecision:
-    """Publish the round's block on the tip if it is ours; always settle."""
-    if half.creator != miner:
-        return StrategyDecision(WAIT, True)
-    base = half.state.tip()
-    return StrategyDecision(PublishPath(frozenset({half.block}), base), True)
-
-
 class Frontier:
-    """The always-publish policy for Miner 1."""
+    """The always-publish policy for Miner 1: publish the round's block on
+    the tip if it is ours; always settle."""
 
-    name = "frontier"
+    name = kind = "frontier"
 
     def reset(self) -> None:
         pass
@@ -135,7 +129,9 @@ class Frontier:
             raise UnreachableState("frontier never withholds")
 
     def decide(self, half: HalfState) -> StrategyDecision:
-        return frontier_decide(half, MINER1)
+        if half.creator != MINER1:
+            return _FOLD
+        return StrategyDecision(PublishPath(frozenset({half.block}), half.state.tip()), True)
 
 
 class WithholdOvertake:
@@ -147,94 +143,48 @@ class WithholdOvertake:
     overtaking by one, and settle.  A 1-block race (one held block, one
     Miner-2 block) is decided by the next creation: ours -> publish both
     own blocks and win; theirs -> abandon and settle.
+
+    The node rules are :class:`StockStepper`'s; ``decide`` plays one
+    stepper round and turns a settle Miner 1 wins into a publish of every
+    own unpublished block above the race base, the live chain block at the
+    stepper's ``hb``.
     """
 
-    name = "sm"
+    name = kind = "sm"
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.node = "start"
-        self.base = GENESIS  # block the private lead forks from
-        self.held: list[int] = []
-        self.opp = 0  # Miner-2 blocks published since the lead began
-        self.opp_tip = GENESIS  # newest Miner-2 chain block during a race
+        self.stepper = StockStepper(self.kind)
 
     def attach(self, state: GameState) -> None:
         """Adopt a position this strategy could have reached on its own."""
         self.reset()
-        held = sorted(state.unpublished_1)
-        depth = state.tip_height()
-        if not held:
-            if depth == 0:
-                self.base = state.tip()
-                return
-            raise UnreachableState("published chain but nothing held")
-        if depth == 0:
-            self.base = state.tip()
-            self.held = held
-            self.node = "hold1" if len(held) == 1 else "lead"
-            return
-        if depth == 1 and len(held) == 1 and state.creator[state.tip()] == MINER2:
-            self.opp_tip = state.tip()
-            self.base = state.parent[self.opp_tip]
-            self.held = held
-            self.node = "race"
-            return
-        raise UnreachableState(f"cannot adopt {state!r}")
-
-    def _check(self, half: HalfState) -> None:
-        live = {b for b in half.state.unpublished_1 if b > self.base}
-        expect = set(self.held)
-        if half.creator == MINER1:
-            expect.add(half.block)
-        if live != expect:
-            raise UnreachableState(f"held blocks {sorted(live)} do not match memory {sorted(expect)}")
+        held, depth = len(state.unpublished_1), state.tip_height()
+        if depth == 0 and held:
+            self.stepper.node = "hold1" if held == 1 else "lead"
+            self.stepper.held = held
+        elif depth == 1 and held == 1 and state.creator[state.tip()] == MINER2:
+            self.stepper.node = "race"
+        elif depth:
+            raise UnreachableState(f"cannot adopt {state!r}" if held else "published chain but nothing held")
 
     def decide(self, half: HalfState) -> StrategyDecision:
-        self._check(half)
-        mine = half.creator == MINER1
-        n = half.block
-        if self.node == "start":
-            if mine:
-                self.base = half.state.tip()
-                self.held = [n]
-                self.node = "hold1"
-                return StrategyDecision(WAIT, False)
-            return StrategyDecision(WAIT, True)
-        if self.node == "hold1":
-            if mine:
-                self.held.append(n)
-                self.node = "lead"
-                self.opp = 0
-                return StrategyDecision(WAIT, False)
-            self.node = "race"
-            self.opp_tip = n
-            return StrategyDecision(WAIT, False)
-        if self.node == "lead":
-            if mine:
-                self.held.append(n)
-                return StrategyDecision(WAIT, False)
-            self.opp += 1
-            if self.opp == len(self.held) - 1:
-                blocks = frozenset(self.held)
-                base = self.base
-                self.reset()
-                return StrategyDecision(PublishPath(blocks, base), True)
-            return StrategyDecision(WAIT, False)
-        if self.node == "race":
-            return self._race(half)
-        raise UnreachableState(f"unknown node {self.node!r}")
-
-    def _race(self, half: HalfState) -> StrategyDecision:
-        if half.creator == MINER1:
-            blocks = frozenset(self.held + [half.block])
-            base = self.base
-            self.reset()
-            return StrategyDecision(PublishPath(blocks, base), True)
-        self.reset()
-        return StrategyDecision(WAIT, True)
+        hb = self.stepper.hb
+        payoff = self.stepper.step(half.creator == MINER1)
+        if payoff is None:
+            return _NO_MOVE
+        if payoff[0] == 0:
+            return _FOLD
+        st = half.state
+        base = st.tip()
+        while st._heights[base] > hb:
+            base = st.parent[base]
+        blocks = frozenset(b for b in st.unpublished_1 if b > base)
+        if len(blocks) != payoff[0]:
+            raise UnreachableState(f"held {sorted(blocks)} above {base}, but the rules publish {payoff[0]}")
+        return StrategyDecision(PublishPath(blocks, base), True)
 
 
 class PatientWithholdOvertake(WithholdOvertake):
@@ -247,39 +197,8 @@ class PatientWithholdOvertake(WithholdOvertake):
     block is written off silently; it gets swept at the next settle).
     """
 
-    name = "nsm"
-
-    def _race(self, half: HalfState) -> StrategyDecision:
-        if half.creator == MINER1:
-            return super()._race(half)
-        self.node = "stall"
-        self.opp_tip = half.block
-        return StrategyDecision(WAIT, False)
-
-    def decide(self, half: HalfState) -> StrategyDecision:
-        if self.node == "stall":
-            self._check(half)
-            if half.creator == MINER1:
-                self.held.append(half.block)
-                self.node = "double"
-                return StrategyDecision(WAIT, False)
-            self.reset()
-            return StrategyDecision(WAIT, True)
-        if self.node == "double":
-            self._check(half)
-            if half.creator == MINER1:
-                blocks = frozenset(self.held + [half.block])
-                base = self.base
-                self.reset()
-                return StrategyDecision(PublishPath(blocks, base), True)
-            # Miner 2 went three deep: restart the race one level up,
-            # writing off the oldest held block.
-            self.base = self.opp_tip
-            self.held = self.held[1:]
-            self.opp_tip = half.block
-            self.node = "race"
-            return StrategyDecision(WAIT, False)
-        return super().decide(half)
+    name = kind = "nsm"
+    decide = WithholdOvertake.decide  # perfbench's tracer wraps each class's own decide
 
 
 class Scripted:
@@ -583,14 +502,17 @@ class StockStepper:
     tree: ``step(mine)`` plays a round whose block is Miner 1's if ``mine``
     and returns the settle payoff ``(r1, r2)``, or None mid-cycle.
 
-    The nodes are :class:`WithholdOvertake`'s start/hold1/lead/race plus
-    :class:`PatientWithholdOvertake`'s stall/double; :class:`Frontier` is
-    the start node settling on every block.  ``held`` and ``opp`` count the
-    private lead and Miner 2's blocks since it began; ``hb`` is the race
-    base's height.  Every chain block below the base is Miner 2's (each nsm
-    restart moves the base up two of them): a settle Miner 1 wins scores its
-    published path against those ``hb`` blocks, one it loses scores Miner
-    2's whole chain.  Mid-cycle Miner 1 owns no public chain block.
+    This is the one definition of the stock node rules: start/hold1/lead/
+    race for :class:`WithholdOvertake`, plus stall/double for
+    :class:`PatientWithholdOvertake`.  Both classes play a stepper in their
+    ``decide`` and publish the held blocks when Miner 1 wins a settle;
+    :class:`Frontier` is the start node settling on every block.  ``held``
+    and ``opp`` count the private lead and Miner 2's blocks since it began;
+    ``hb`` is the race base's height.  Every chain block below the base is
+    Miner 2's (each nsm restart moves the base up two of them): a settle
+    Miner 1 wins scores its published path against those ``hb`` blocks, one
+    it loses scores Miner 2's whole chain.  Mid-cycle Miner 1 owns no public
+    chain block.
     """
 
     __slots__ = ("kind", "node", "held", "opp", "hb")
@@ -663,7 +585,6 @@ class StockStepper:
 
 
 _WON, _LOST = (1, 0), (0, 1)
-_STOCK_KINDS = {Frontier: "frontier", WithholdOvertake: "sm", PatientWithholdOvertake: "nsm"}
 
 
 class _EngineStepper:
@@ -696,8 +617,9 @@ def make_stepper(strategy):
     :class:`Frontier`, :class:`WithholdOvertake` or
     :class:`PatientWithholdOvertake`; otherwise, subclasses included, the
     same interface played by the :class:`Engine`."""
-    kind = _STOCK_KINDS.get(type(strategy))
-    return StockStepper(kind) if kind else _EngineStepper(strategy)
+    if type(strategy) in (Frontier, WithholdOvertake, PatientWithholdOvertake):
+        return StockStepper(strategy.kind)
+    return _EngineStepper(strategy)
 
 
 def run_totals(

@@ -44,6 +44,7 @@ from .strategies import Engine, Scripted, Trace, format_action
 __all__ = [
     "NoCheckpointAbove",
     "ReplayDiverged",
+    "TraceLengthMismatch",
     "checkpoints",
     "checkpoint_inequality",
     "checkpoint_reward_bound",
@@ -67,6 +68,16 @@ __all__ = [
 
 class NoCheckpointAbove(BlockTreeError):
     """The action's base has no checkpoint among its chain successors."""
+
+
+class TraceLengthMismatch(BlockTreeError, ValueError):
+    """A trace's per-round lists do not all have one entry per creator."""
+
+    def __init__(self, lengths: dict[str, int]):
+        super().__init__(
+            "trace lists differ in length: " + ", ".join(f"{k} {v}" for k, v in lengths.items())
+        )
+        self.lengths = lengths
 
 
 class ReplayDiverged(BlockTreeError):
@@ -354,11 +365,18 @@ def replay_trace(trace: Trace, observers: list) -> GameState:
     observer's ``finish(state)`` hook on the final state.
 
     Each round's chain height is checked against the trace's recorded
-    heights; the first mismatch raises :class:`ReplayDiverged`.
+    heights (unless there are none); the first mismatch raises
+    :class:`ReplayDiverged`.  A trace whose ``m1_actions``, ``cap_flags``
+    or non-empty ``heights`` do not have one entry per creator raises
+    :class:`TraceLengthMismatch` before the first round.
 
     The trace checks below call it once per trace between them (see the
     module docstring); it keeps no state of its own.
     """
+    names = ("creators", "m1_actions", "cap_flags") + (("heights",) if trace.heights else ())
+    lengths = {name: len(getattr(trace, name)) for name in names}
+    if len(set(lengths.values())) > 1:
+        raise TraceLengthMismatch(lengths)
     moves = [
         (i + 1, action, settled)
         for i, (action, settled) in enumerate(zip(trace.m1_actions, trace.cap_flags))

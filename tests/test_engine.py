@@ -22,7 +22,7 @@ from posmine.blocktree import (
     initial_state,
 )
 from posmine.strategies import Engine, Scripted, make_strategy, run_game, run_totals
-from posmine.structure import ReplayDiverged, replay_trace
+from posmine.structure import ReplayDiverged, TraceLengthMismatch, replay_trace
 from conftest import play_rounds
 
 M1, M2 = MINER1, MINER2
@@ -91,6 +91,22 @@ def test_replay_names_the_round_that_diverged():
     assert err.value.expected == tr.heights[99]
     assert err.value.actual == tr.heights[99] - 1
     assert "round 100" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit, lengths",
+    [
+        (lambda tr: tr.creators.append(M1), "creators 51, m1_actions 50, cap_flags 50, heights 50"),
+        (lambda tr: tr.heights.pop(), "creators 50, m1_actions 50, cap_flags 50, heights 49"),
+        (lambda tr: tr.creators.pop(), "creators 49, m1_actions 50, cap_flags 50, heights 50"),
+    ],
+    ids=["extra-creator", "short-heights", "extra-moves"],
+)
+def test_replay_rejects_lists_of_unequal_length(edit, lengths):
+    tr = run_game(make_strategy("sm"), 0.35, 50, seed=7)
+    edit(tr)
+    with pytest.raises(TraceLengthMismatch, match=lengths):
+        replay_trace(tr, [])
 
 
 def test_replay_divergence_survives_optimised_python():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from posmine.blocktree import (
     GENESIS,
+    HalfState,
     MINER1,
     MINER2,
     PublishPath,
@@ -17,6 +18,7 @@ from posmine.strategies import (
     Scripted,
     ScriptError,
     ScriptExhaustedMismatch,
+    StrategyDecision,
     UnreachableState,
     WithholdOvertake,
     derive_seed,
@@ -96,10 +98,12 @@ def test_sm_settles_when_miner2_opens():
 def test_sm_attach_adopts_a_race():
     st0 = initial_state()
     play_rounds(st0, [M1, M2])
-    strat = WithholdOvertake()
-    strat.attach(st0)
-    assert strat.node == "race"
-    assert strat.held == [1]
+    won = StrategyDecision(PublishPath(frozenset({1, 3}), GENESIS), True)
+    for creator, expect in ((M1, won), (M2, StrategyDecision(WAIT, True))):
+        strat = WithholdOvertake()
+        strat.attach(st0)
+        st = play_rounds(st0.clone(), [creator])
+        assert strat.decide(HalfState(st, creator, 3)) == expect
 
 
 # --- patient variant (nsm) -----------------------------------------------------
