@@ -9,11 +9,13 @@ remaining checks replay single long games: chain growth rate, decay of the
 one-shot potential reward, and the dynamic-stake variant where the creator
 probability follows Miner 1's coin balance.
 
-Renewal cycles, long-game totals, growth series and dynamic-stake runs of
-the stock strategies are played by `strategies.StockStepper` (through
-`iter_cycles`, `run_totals` and `make_stepper`), which consumes the same
-draws as the round engine and builds no block tree.  `mc_value` and the
-decay check need the live block tree, so they always run the engine.
+Renewal cycles, long-game totals, growth series, the decay check and
+dynamic-stake runs of the stock strategies are played by
+`strategies.StockStepper` (through `iter_cycles`, `run_totals` and
+`make_stepper`), which consumes the same draws as the round engine and
+builds no block tree; the decay check reads the one-shot advantage off the
+stepper's node.  `mc_value` starts from a given block tree, so it always
+runs the engine.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocktree import GameState, potential_reward
+from .blocktree import MINER1, GameState
 from .strategies import (
     DomainError,
     Engine,
@@ -452,18 +454,24 @@ def potential_reward_decay_check(
     eps: float = 0.02,
 ) -> DecayReport:
     """One-shot publishable advantage divided by the round number must fall
-    below eps over the second half of the run."""
+    below eps over the second half of the run.
+
+    The rounds are played by ``strategies.make_stepper``, whose
+    ``potential_reward()`` gives the advantage after each round: read off
+    the node for the stock strategies, ``blocktree.potential_reward`` of the
+    engine's state for any other."""
     _check_alpha(alpha)
     _check_count("rounds", rounds)
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)
-    eng = Engine(strategy)
-    stream = _creator_stream(alpha, seed, creators, rounds)
+    stepper = make_stepper(strategy)
+    step, pot = stepper.step, stepper.potential_reward
+    mines = map(MINER1.__eq__, _creator_stream(alpha, seed, creators, rounds))
     tail_max = 0.0
-    for i in range(1, rounds + 1):
-        eng.play(next(stream))
+    for i, mine in zip(range(1, rounds + 1), mines):
+        step(mine)
         if i > rounds // 2:
-            ratio = potential_reward(eng.state) / i
+            ratio = pot() / i
             if ratio > tail_max:
                 tail_max = ratio
     return DecayReport(holds=tail_max < eps, eps=eps, tail_max=tail_max)

@@ -7,6 +7,7 @@ full configuration, so a rerun with the same flags is byte-identical.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import NoReturn, Optional
 
@@ -60,20 +61,28 @@ _CLOSED_FORMS = {
 }
 
 
+_MAX_GRID_POINTS = 10_000
+
+
 def _grid(spec: str) -> list[float]:
-    """Parse lo:hi:step into an inclusive grid; a non-dividing step gets
-    its last point clamped to hi."""
+    """Parse lo:hi:step into an inclusive grid of at most
+    ``_MAX_GRID_POINTS`` points; a non-dividing step gets its last point
+    clamped to hi."""
     try:
         parts = [float(x) for x in spec.split(":")]
         lo, hi, step = parts
     except ValueError:
         _fail(2, f"usage error: bad grid {spec!r}, expected lo:hi:step")
+    if not all(map(math.isfinite, parts)):
+        _fail(2, f"usage error: bad grid {spec!r}: bounds and step must be finite")
     if step <= 0 or hi < lo:
         _fail(2, f"usage error: bad grid {spec!r}: need step > 0 and hi >= lo")
     pts = []
     i = 0
     x = lo
     while x < hi - 1e-12:
+        if len(pts) == _MAX_GRID_POINTS - 1:  # x and hi would overflow the cap
+            _fail(2, f"usage error: bad grid {spec!r}: more than {_MAX_GRID_POINTS} points")
         pts.append(x)
         i += 1
         x = lo + i * step

@@ -10,9 +10,9 @@ package's only round loop over a block tree: trace replay
 (``structure.replay_trace``) drives it with a :class:`Scripted` strategy and
 observer hooks.  The one shortcut is :class:`StockStepper`, which plays the
 stock strategies one round at a time as small automata over the same creator
-draws, with no block tree; :func:`iter_cycles`, :func:`run_totals` and
-``analysis.stake_dynamics`` use it for those exact types and the engine for
-every other strategy.
+draws, with no block tree; :func:`iter_cycles`, :func:`run_totals`,
+``analysis.potential_reward_decay_check`` and ``analysis.stake_dynamics``
+use it for those exact types and the engine for every other strategy.
 
 Strategies included: the frontier policy (publish immediately, always
 capitulate), withhold-and-overtake (hold a private lead, publish it all when
@@ -46,6 +46,7 @@ from .blocktree import (
     begin_round,
     capitulate,
     initial_state,
+    potential_reward,
     validate_action,
 )
 
@@ -500,7 +501,9 @@ def run_game(
 class StockStepper:
     """The stock strategies' node rules, one round at a time, with no block
     tree: ``step(mine)`` plays a round whose block is Miner 1's if ``mine``
-    and returns the settle payoff ``(r1, r2)``, or None mid-cycle.
+    and returns the settle payoff ``(r1, r2)``, or None mid-cycle;
+    ``height()`` and ``potential_reward()`` read the live position off the
+    node.
 
     This is the one definition of the stock node rules: start/hold1/lead/
     race for :class:`WithholdOvertake`, plus stall/double for
@@ -535,6 +538,28 @@ class StockStepper:
     def chain_owned(self) -> int:
         """Miner 1's blocks on the live public chain: none mid-cycle."""
         return 0
+
+    def potential_reward(self) -> int:
+        """``blocktree.potential_reward`` of the live position, read off the
+        node.
+
+        Miner 1 owns no public chain block mid-cycle, so a publish can only
+        gain, by the number of held blocks it stacks on a base, and only if
+        the stack strictly overtakes the tip.  In lead all ``held`` blocks
+        are newer than the cycle base and Miner 2 has ``opp <= held - 2``
+        blocks on it, so stacked there they overtake: ``held``.  In hold1
+        the one held block overtakes the empty chain, and in double the
+        block made after Miner 2's two overtakes them stacked on the tip:
+        1.  In race and stall Miner 2's chain is at least as long as
+        anything Miner 1 can stack, and start holds nothing: 0.  Frontier
+        never leaves start, so it always gets 0.
+        """
+        node = self.node
+        if node == "lead":
+            return self.held
+        if node == "hold1" or node == "double":
+            return 1
+        return 0  # start, race, stall
 
     def step(self, mine: bool) -> Optional[tuple[int, int]]:
         node = self.node
@@ -601,6 +626,9 @@ class _EngineStepper:
 
     def chain_owned(self) -> int:
         return self.engine.state.chain_owned(MINER1)
+
+    def potential_reward(self) -> int:
+        return potential_reward(self.engine.state)
 
     def step(self, mine: bool) -> Optional[tuple[int, int]]:
         eng = self.engine

@@ -118,6 +118,16 @@ BAD_INPUTS = {
     "revenue-grid-backwards": lambda tmp: (
         ["revenue", "--strategy", "sm", "--alpha-grid", "0.3:0.2:0.05"], {}
     ),
+    # each of these used to build its grid until memory ran out
+    "revenue-grid-infinite-hi": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--alpha-grid", "0.1:inf:0.1"], {}
+    ),
+    "revenue-grid-infinite-lo": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--alpha-grid", "-inf:0.3:0.1"], {}
+    ),
+    "revenue-grid-too-many-points": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--alpha-grid", "0.1:0.3:1e-300"], {}
+    ),
     "walk-alpha-above-half": lambda tmp: (["walk", "--alpha", "0.7"], {}),
     "walk-negative-lead": lambda tmp: (["walk", "--alpha", "0.3", "--lead", "-1"], {}),
     "threads-not-int": lambda tmp: (

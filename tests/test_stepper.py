@@ -1,11 +1,13 @@
-"""The per-round stepper behind `run_totals` and `stake_dynamics` against the
-round engine it replaces for the stock strategies, the long-game outputs it
-feeds (pinned by sha256), the stake-majority stop and the round-count
+"""The per-round stepper behind `run_totals`, `stake_dynamics` and the decay
+check against the round engine it replaces for the stock strategies, its
+one-shot advantage against the block-tree searches, the long-game outputs
+it feeds (pinned by sha256), the stake-majority stop and the round-count
 checks."""
 
 import hashlib
 import random
 from array import array
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,10 +18,19 @@ from posmine.analysis import (
     MajorityStake,
     growth_rate_check,
     mc_revenue_liminf,
+    potential_reward_decay_check,
     stake_dynamics,
 )
-from posmine.blocktree import MINER1 as M1, MINER2 as M2, PublishPath
+from posmine.blocktree import (
+    MINER1 as M1,
+    MINER2 as M2,
+    PublishPath,
+    format_statefile,
+    potential_reward,
+    potential_reward_exhaustive,
+)
 from posmine.strategies import (
+    Engine,
     Frontier,
     PatientWithholdOvertake,
     Scripted,
@@ -161,6 +172,62 @@ def test_stake_that_starts_at_half_is_a_domain_error():
         stake_dynamics("nsm", 0.3, coins=2, rounds=10)
 
 
+# The brute-force search enumerates every publish, a number that grows
+# factorially with the withheld pool (8 held blocks: 110k actions, seconds
+# a state), so it is run on positions holding at most this many.
+EXHAUSTIVE_HELD = 5
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_every_short_game_gives_the_block_tree_value(name):
+    # Every prefix of every 12-round creator sequence: the node's value
+    # against the fast search of the engine's tree, and against the
+    # brute-force search where the position is small enough to enumerate.
+    exhaustive = {}
+    for creators in product((M1, M2), repeat=12):
+        stepper, eng = StockStepper(name), Engine(make_strategy(name))
+        for rnd, creator in enumerate(creators, 1):
+            stepper.step(creator == M1)
+            eng.play(creator)
+            state = eng.state
+            got = stepper.potential_reward()
+            assert got == potential_reward(state), (creators[:rnd], stepper.node)
+            if len(state.unpublished_1) <= EXHAUSTIVE_HELD:
+                key = format_statefile(state), state.tip()
+                if key not in exhaustive:
+                    exhaustive[key] = potential_reward_exhaustive(state)
+                assert got == exhaustive[key], (creators[:rnd], stepper.node)
+    assert exhaustive
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+@pytest.mark.parametrize("alpha", [0.05, 0.15, 0.25, 0.35, 0.45, 0.49])
+def test_long_seeded_games_give_the_block_tree_value(name, alpha):
+    stepper, eng = StockStepper(name), Engine(make_strategy(name))
+    rand = random.Random(int(alpha * 1000)).random
+    nodes = set()
+    for rnd in range(1, 20001):
+        mine = rand() < alpha
+        stepper.step(mine)
+        eng.play(M1 if mine else M2)
+        nodes.add(stepper.node)
+        assert stepper.potential_reward() == potential_reward(eng.state), (rnd, stepper.node)
+    expect = {"start"} if name == "frontier" else {"start", "hold1", "lead", "race"}
+    if name == "nsm":
+        expect |= {"stall", "double"}
+    assert expect <= nodes
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.02, 0.49), seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 2000))
+def test_decay_report_equals_the_engine_path(name, alpha, seed, rounds):
+    kernel_cls, engine_cls = PAIRS[name]
+    got = potential_reward_decay_check(kernel_cls(), alpha, rounds, seed=seed)
+    assert got == potential_reward_decay_check(engine_cls(), alpha, rounds, seed=seed)
+    assert got == potential_reward_decay_check(name, alpha, rounds, seed=seed)
+
+
 def test_stepper_is_chosen_by_exact_type(monkeypatch):
     seen = []
 
@@ -171,7 +238,8 @@ def test_stepper_is_chosen_by_exact_type(monkeypatch):
 
     run_totals(Counting(), 0.3, 20, seed=1)
     stake_dynamics(Counting(), 0.3, 1000, 20, seed=1)
-    assert len(seen) == 40
+    potential_reward_decay_check(Counting(), 0.3, 20, seed=1)
+    assert len(seen) == 60
     assert not isinstance(make_stepper(Counting()), StockStepper)
 
     def refuse(self, half):
@@ -182,6 +250,7 @@ def test_stepper_is_chosen_by_exact_type(monkeypatch):
         assert isinstance(make_stepper(cls()), StockStepper)
         run_totals(cls(), 0.3, 20, seed=1)
         stake_dynamics(cls(), 0.3, 1000, 20, seed=1)
+        potential_reward_decay_check(cls(), 0.3, 20, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -240,3 +309,50 @@ LIMINF_PINS = {
 def test_liminf_estimate_is_unchanged(strategy, alpha):
     text = repr(mc_revenue_liminf(strategy, alpha, 3000, 8, seed=11, threads=1))
     assert sha256(text.encode()) == LIMINF_PINS[strategy, alpha], text
+
+
+# sha256 of repr(potential_reward_decay_check(strategy, alpha, 3000, seed=seed))
+DECAY_PINS = {
+    ("frontier", 0.2, 1): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.2, 2): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.2, 3): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.3, 1): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.3, 2): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.3, 3): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.4, 1): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.4, 2): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.4, 3): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.45, 1): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.45, 2): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("frontier", 0.45, 3): "6625015e33b1b06a4c8bb8dfa66af509600a8eca5c00c000e70eca0b79cd2d05",
+    ("sm", 0.2, 1): "45ab0961f22a2fa179bf6c1472c5f347e4f853c2234e02972771965077af7dea",
+    ("sm", 0.2, 2): "fac5f22e5c28f2d9e45ae5ec6d122ce460e18aaf3c0081abccb541672732681a",
+    ("sm", 0.2, 3): "dddadeb61ea41cbc0f271fbbea1c34b71fafd177611fc16bda8b1e912f4c88f5",
+    ("sm", 0.3, 1): "c33fa359e503fe41d6ed79af53265d9e68faff9b4380ca5ecd3339f07378c3b6",
+    ("sm", 0.3, 2): "f8c6fba0db4da6ddaf9cab29a60b8313ceb4bdc1db9ad101befabfaf68f90026",
+    ("sm", 0.3, 3): "266d96c468fd58b6f803ab2d6b0be792ce3e70b71ced75e6956bf986a05d5330",
+    ("sm", 0.4, 1): "d1e584c5726e351a3c56ba6c3a335998195b777fde37e41525e4e2aa9f5fd05b",
+    ("sm", 0.4, 2): "1cbfa0ed46ca2be8b3cf9d5792ce533a48d362105b3b95fd6d375ffb49086d73",
+    ("sm", 0.4, 3): "874ecb0e697607de1149f564fb680a81f97d5fddb285590667d79200d1f98ae8",
+    ("sm", 0.45, 1): "ecf1a688f2126b0f30c6c669486bbbd5eafd206a3d4024760f00306d2fbad57d",
+    ("sm", 0.45, 2): "daef4baca58fc177b4c2b6d2d04e7c9c8ec0d73e0bccf6c31bebe812b80c585e",
+    ("sm", 0.45, 3): "43e6be662bbdd382564a857728e2502dcaaca2b58c41bc449676db5777ae3cd4",
+    ("nsm", 0.2, 1): "45ab0961f22a2fa179bf6c1472c5f347e4f853c2234e02972771965077af7dea",
+    ("nsm", 0.2, 2): "fac5f22e5c28f2d9e45ae5ec6d122ce460e18aaf3c0081abccb541672732681a",
+    ("nsm", 0.2, 3): "dddadeb61ea41cbc0f271fbbea1c34b71fafd177611fc16bda8b1e912f4c88f5",
+    ("nsm", 0.3, 1): "c33fa359e503fe41d6ed79af53265d9e68faff9b4380ca5ecd3339f07378c3b6",
+    ("nsm", 0.3, 2): "f8c6fba0db4da6ddaf9cab29a60b8313ceb4bdc1db9ad101befabfaf68f90026",
+    ("nsm", 0.3, 3): "266d96c468fd58b6f803ab2d6b0be792ce3e70b71ced75e6956bf986a05d5330",
+    ("nsm", 0.4, 1): "d1e584c5726e351a3c56ba6c3a335998195b777fde37e41525e4e2aa9f5fd05b",
+    ("nsm", 0.4, 2): "c6aadf3d0e566e6f351bd2de1f5c7d4cb95dd48f9918495c763631c811cf459f",
+    ("nsm", 0.4, 3): "874ecb0e697607de1149f564fb680a81f97d5fddb285590667d79200d1f98ae8",
+    ("nsm", 0.45, 1): "ecf1a688f2126b0f30c6c669486bbbd5eafd206a3d4024760f00306d2fbad57d",
+    ("nsm", 0.45, 2): "daef4baca58fc177b4c2b6d2d04e7c9c8ec0d73e0bccf6c31bebe812b80c585e",
+    ("nsm", 0.45, 3): "43e6be662bbdd382564a857728e2502dcaaca2b58c41bc449676db5777ae3cd4",
+}
+
+
+@pytest.mark.parametrize("strategy,alpha,seed", sorted(DECAY_PINS))
+def test_decay_report_is_unchanged(strategy, alpha, seed):
+    text = repr(potential_reward_decay_check(strategy, alpha, 3000, seed=seed))
+    assert sha256(text.encode()) == DECAY_PINS[strategy, alpha, seed], text
