@@ -293,6 +293,8 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
         _fail(2, f"usage error: unknown properties: {unknown} (have {PROPERTIES})")
     if games < 1:
         _fail(2, f"usage error: games must be >= 1, got {games}")
+    if rounds < 1:
+        _fail(2, f"usage error: rounds must be >= 1, got {rounds}")
     failures: dict[str, str] = {}
     checked = {p: 0 for p in wanted}
     mon_fail: dict[str, str] = {}

@@ -20,8 +20,10 @@ publish of ``blocks`` on shadow base ``u``:
 The block-label mapping (sigma) pairs the shadow game's blocks with the
 real game's: published blocks are paired when published, and the still
 unpublished blocks are paired up by rank after every publish.  Miner-2
-blocks always map to themselves.  With ``check=True`` the coupling is
-re-checked every round, and a broken invariant raises
+blocks always map to themselves.  Each round re-pairs only what can have
+changed since the last pairing (see ``_ShadowWrapper._advance``), and
+nothing when the shadow withholds nothing.  With ``check=True`` the
+coupling is re-checked every round, and a broken invariant raises
 :class:`CouplingBroken`.
 
 ``checkpoint_preserve_case1`` builds the deferred-publication plan that
@@ -45,7 +47,6 @@ from .blocktree import (
     HalfState,
     PublishPath,
     Wait,
-    WAIT,
     attach_action,
     begin_round,
     capitulate,
@@ -166,6 +167,7 @@ class _ShadowWrapper:
         self.inner.reset()
         self.shadow = initial_state()
         self.sigma = SigmaMap()
+        self._paired: Optional[GameState] = None
 
     def attach(self, state: GameState) -> None:
         if state.parent or state.unpublished_1 or state.unpublished_2 or state.round:
@@ -179,33 +181,50 @@ class _ShadowWrapper:
         publish there and translate it for the real game, then settle the
         shadow if the inner strategy settles."""
         dec = self.inner.decide(self._advance(half))
-        action = WAIT
+        settle = dec.capitulate_to_b0
         if not isinstance(dec.action, Wait):
             blocks, u = self._apply_inner(dec.action)
-            action = self._translate(half, blocks, u)
-        if dec.capitulate_to_b0:
+            dec = StrategyDecision(self._translate(half, blocks, u), settle)
+            self._paired = None
+        if settle:
             self.shadow = capitulate(self.shadow, self.shadow.tip_height())
             self.sigma.prune(self.shadow.knows)
-        return StrategyDecision(action, dec.capitulate_to_b0)
+            self._paired = None
+        return dec  # a Wait passes through as the inner strategy decided it
 
     def _advance(self, half: HalfState) -> HalfState:
-        n = begin_round(self.shadow, half.creator)
+        """Play the round's draw on the shadow and pair the two unpublished
+        pools by rank.
+
+        ``_paired`` is the real state the pools were last paired against;
+        a publish or a settle clears it.  While it is still this round's
+        real state, the pools changed only by this round's block, the
+        newest in either pool: a Miner-2 block changes neither, and a
+        Miner-1 block pairs with itself (no sigma entry) when the pools are
+        the same size.  Only otherwise is the pairing redone.
+        """
+        shadow = self.shadow
+        n = begin_round(shadow, half.creator)
         if half.creator == MINER2:
-            self.shadow._publish_one(n, self.shadow.tip())
-        # Settling can prune the two unpublished pools asymmetrically (label
-        # order decides what is still stackable), so the real game may carry
-        # stale extra blocks the shadow has forgotten.  Those extras are
-        # harmless -- they just widen the pool future publishes draw from --
-        # but the shadow must never know MORE than the real game holds.
-        sh_u = sorted(self.shadow.unpublished_1)
-        re_u = sorted(half.state.unpublished_1)
-        if len(sh_u) > len(re_u):
-            raise RuntimeError("shadow game diverged from the real game")
-        for b, target in zip(sh_u, re_u):
-            self.sigma.set(b, target)
+            shadow._publish_one(n, shadow._tip)
+        sh_pool, re_pool = shadow.unpublished_1, half.state.unpublished_1
+        if sh_pool and not (
+            self._paired is half.state and (half.creator == MINER2 or len(sh_pool) == len(re_pool))
+        ):
+            # Settling can prune the two unpublished pools asymmetrically
+            # (label order decides what is still stackable), so the real
+            # game may carry stale extra blocks the shadow has forgotten.
+            # Those extras are harmless -- they just widen the pool future
+            # publishes draw from -- but the shadow must never know MORE
+            # than the real game holds.
+            if len(sh_pool) > len(re_pool):
+                raise RuntimeError("shadow game diverged from the real game")
+            for b, target in zip(sorted(sh_pool), sorted(re_pool)):
+                self.sigma.set(b, target)
+        self._paired = half.state
         if self.check:
-            _check_sigma_coupling(self.sigma, self.shadow, half.state)
-        return HalfState(self.shadow, half.creator, n)
+            _check_sigma_coupling(self.sigma, shadow, half.state)
+        return HalfState(shadow, half.creator, n)
 
     def _apply_inner(self, action: Action) -> tuple[list[int], int]:
         """Check that the inner publish is one timeserving path, apply it to

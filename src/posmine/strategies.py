@@ -350,13 +350,14 @@ class Engine:
     def play(self, creator: int) -> tuple[Action, int, int, int, bool]:
         """One round; returns (miner1 action, m2 base or -1, r1, r2, settled)."""
         st = self.state
-        t1b = st.chain_owned(MINER1)
-        hb = st.tip_height()
+        heights, chain_m1 = st._heights, st._chain_m1  # updated in place until the settle
+        tip = st._tip
+        t1b, hb = chain_m1[tip], heights[tip]
         n = begin_round(st, creator)
         m2_base = -1
         if creator == MINER2:
-            m2_base = st.tip()
-            st._publish_one(n, m2_base)
+            m2_base = tip
+            st._publish_one(n, tip)
         dec = self.strategy.decide(HalfState(st, creator, n))
         action, settled = dec.action, dec.capitulate_to_b0
         for hook in self._half_hooks:
@@ -365,7 +366,8 @@ class Engine:
         if not isinstance(action, Wait):
             published = attach_action(st, MINER1, action).blocks
         # Miner 2's chain count is the chain height minus Miner 1's.
-        t1, h = st.chain_owned(MINER1), st.tip_height()
+        tip = st._tip
+        t1, h = chain_m1[tip], heights[tip]
         r1 = t1 - t1b
         r2 = h - hb - r1
         if self._end_hooks:
@@ -479,17 +481,24 @@ def run_game(
     name = getattr(strategy, "name", strategy.__class__.__name__)
     trace = Trace(strategy=name, alpha=alpha, seed=seed)
     stream = _creator_stream(alpha, seed, creators, rounds)
-    for _ in range(rounds):
-        creator = next(stream)
-        action, m2_base, r1, r2, capped = eng.play(creator)
-        trace.creators.append(creator)
-        trace.m1_actions.append(action)
-        trace.m2_bases.append(m2_base)
-        trace.cap_flags.append(capped)
-        trace.tips.append(eng.state.tip() if not capped else eng.state.offset)
-        trace.heights.append(eng.height_total())
-        trace.r1.append(r1)
-        trace.r2.append(r2)
+    play = eng.play
+    add_creator, add_action, add_m2_base, add_cap = (
+        trace.creators.append, trace.m1_actions.append, trace.m2_bases.append, trace.cap_flags.append
+    )
+    add_tip, add_height, add_r1, add_r2 = (
+        trace.tips.append, trace.heights.append, trace.r1.append, trace.r2.append
+    )
+    for _, creator in zip(range(rounds), stream):
+        action, m2_base, r1, r2, capped = play(creator)
+        st = eng.state
+        add_creator(creator)
+        add_action(action)
+        add_m2_base(m2_base)
+        add_cap(capped)
+        add_tip(st.offset if capped else st._tip)
+        add_height(eng.locked_h + st._heights[st._tip])
+        add_r1(r1)
+        add_r2(r2)
     trace.final_state = eng.state
     return trace
 

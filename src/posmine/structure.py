@@ -16,6 +16,13 @@ them called on a trace replays it once with the observers of all three and
 keeps the three reports on the trace, next to a snapshot of the lists the
 replay read.  A later call reuses them while the trace still matches the
 snapshot, replays again when it does not, and always returns a fresh copy.
+
+The replay is kept cheap per round.  A :class:`PublishPath` is read as the
+path it is, not desugared (the classifiers, the lift and the reductions
+all take it through ``_as_path``, and ``is_timeserving`` compares its top
+height with the tip's); the observers that need checkpoints compute them
+at most once per position of the replay; and with nothing unpublished
+``checkpoints`` returns the chain as it is.
 """
 
 from __future__ import annotations
@@ -102,19 +109,30 @@ def checkpoints(state: GameState) -> list[int]:
     Scanning the chain upward, a block v becomes the next checkpoint as
     soon as Miner 1 has at least as many blocks in the chain window since
     the previous checkpoint as it has unpublished blocks in that window
-    (window = labels in (previous, v]); the minimum such block wins.
+    (window = labels in (previous, v]); the minimum such block wins.  With
+    nothing unpublished every chain block is one, so the chain is returned
+    as it is.
     """
+    parent = state.parent
+    b = state._tip
+    chain = [b]
+    while b != GENESIS:
+        b = parent[b]
+        chain.append(b)
+    chain.reverse()
+    if not state.unpublished_1:
+        return chain
     u1 = sorted(state.unpublished_1)
+    creator = state.creator
     cps = [GENESIS]
-    last = GENESIS
-    t1_since = 0
-    for v in chain_path(state)[1:]:
-        if state.creator[v] == MINER1:
+    below = t1_since = 0  # unpublished up to the last checkpoint, Miner-1 chain blocks since
+    for v in chain[1:]:
+        if creator[v] == MINER1:
             t1_since += 1
-        if t1_since >= bisect_right(u1, v) - bisect_right(u1, last):
+        upto = bisect_right(u1, v)
+        if t1_since >= upto - below:
             cps.append(v)
-            last = v
-            t1_since = 0
+            below, t1_since = upto, 0
     return cps
 
 
@@ -202,8 +220,12 @@ def checkpoint_reward_bound(state: GameState) -> CheckVerdict:
 
 
 def _as_path(state: GameState, action: Action) -> Optional[tuple[list[int], int]]:
-    """Desugar a Miner-1 action and recover (ascending blocks, base) if its
-    edges form one path; None for a Wait or any other shape."""
+    """(ascending blocks, base) of a Miner-1 action whose edges form one
+    path; None for a Wait or any other shape.  A non-empty
+    :class:`PublishPath` is one path by construction and is read directly;
+    any other action is desugared first."""
+    if isinstance(action, PublishPath):
+        return (sorted(action.blocks), action.base) if action.blocks else None
     flat = desugar(state, MINER1, action)
     if isinstance(flat, Wait):
         return None
@@ -221,8 +243,13 @@ def is_timeserving(state: GameState, action: Action) -> bool:
     """Do all published blocks land on the longest chain immediately?
 
     Ties against already-published blocks are lost (first published wins),
-    so e.g. matching the current tip's height is not good enough.
+    so e.g. matching the current tip's height is not good enough.  A
+    :class:`PublishPath` of Miner 1's own unpublished blocks is one path
+    from its base, so it lands exactly when its top block outgrows the tip;
+    any other action is desugared and its new chain walked.
     """
+    if isinstance(action, PublishPath) and action.blocks and action.blocks <= state.unpublished_1:
+        return state._heights[action.base] + len(action.blocks) > state._heights[state._tip]
     flat = desugar(state, MINER1, action)
     if isinstance(flat, Wait):
         return True
@@ -274,9 +301,15 @@ def is_trimmed(state: GameState, action: Action) -> bool:
     if isinstance(action, Wait):
         return True
     path = _as_path(state, action)
-    if path is None or not on_chain(state, path[1]):
+    return path is not None and _trimmed_base(state, path[1])
+
+
+def _trimmed_base(state: GameState, base: int) -> bool:
+    """Is a publish on ``base`` trimmed: ``base`` on the chain, and the chain
+    block above it, if any, Miner 2's?"""
+    if not on_chain(state, base):
         return False
-    succ = successors(state, path[1])
+    succ = successors(state, base)
     return not succ or state.creator[succ[0]] == MINER2
 
 
@@ -458,16 +491,36 @@ class _OpportunisticMonitor:
         self.watch = keep
 
 
+class _RoundCheckpoints:
+    """``checkpoints(state)`` at most once per position of a replay: the
+    replay changes the tree or the pools only by starting a round,
+    publishing or settling (a new state), so the state, its round and its
+    publish count name the position."""
+
+    __slots__ = ("key", "cps")
+
+    def __init__(self) -> None:
+        self.key: Optional[tuple] = None
+        self.cps: list[int] = []
+
+    def __call__(self, state: GameState) -> list[int]:
+        key = (state, state.round, len(state._pub_seq))
+        if key != self.key:
+            self.key, self.cps = key, checkpoints(state)
+        return self.cps
+
+
 class _CheckpointRecurrentMonitor:
     """Within each settled epoch: once a checkpoint appears it never moves,
     and at the moment it appears nothing unpublished sits above it."""
 
-    def __init__(self, verdict: PropertyVerdict):
+    def __init__(self, verdict: PropertyVerdict, cps: _RoundCheckpoints):
         self.verdict = verdict
+        self.cps = cps
         self.prev: list[int] = [GENESIS]
 
     def round_end(self, state: GameState, new_blocks, capped: bool, round_no: int) -> None:
-        cps = checkpoints(state)
+        cps = self.cps(state)
         if cps[: len(self.prev)] != self.prev:
             self.verdict.hit(round_no, f"checkpoints moved: {self.prev} -> {cps}")
         elif len(cps) > len(self.prev):
@@ -477,10 +530,10 @@ class _CheckpointRecurrentMonitor:
                 self.verdict.hit(
                     round_no, f"unpublished {sorted(loose)} above new checkpoint {first_new}"
                 )
-        self.prev = list(cps)
+        self.prev = cps  # checkpoint lists are never changed once made
 
     def capitulated(self, state: GameState) -> None:
-        self.prev = list(checkpoints(state))
+        self.prev = self.cps(state)
 
 
 class _ForkOwnershipMonitor:
@@ -508,23 +561,16 @@ class _ForkOwnershipMonitor:
         self.report.checked += 1
         q = chain_side[0]
         tilde = pair[1] if q == pair[0] else pair[0]
-        # walk both down to their common ancestor
-        x, y = q, tilde
-        seen = set()
-        while x != GENESIS:
-            seen.add(x)
-            x = state.parent[x]
-        seen.add(GENESIS)
-        r = y
-        while r not in seen:
-            r = state.parent[r]
-        v = q
-        while v != r:
-            if state.creator[v] != MINER1:
+        # the two share a height, so stepping both down together meets at
+        # their common ancestor; the chain side must be Miner 1's until then
+        parent, creator = state.parent, state.creator
+        v, y = q, tilde
+        while v != y:
+            if creator[v] != MINER1:
                 self.report.hit(round_no, f"blocks {q} and {tilde} at equal height, "
                                           f"but {v} on the chain side is Miner 2's")
                 return
-            v = state.parent[v]
+            v, y = parent[v], parent[y]
 
     def capitulated(self, state: GameState) -> None:
         self.by_height = {}
@@ -536,8 +582,9 @@ class _OverrideMonitor:
     """Trimmed forks that displace a checkpoint must land a new checkpoint
     at the tip."""
 
-    def __init__(self, report: MonitorReport):
+    def __init__(self, report: MonitorReport, cps: _RoundCheckpoints):
         self.report = report
+        self.cps = cps
         self.pending: Optional[tuple[int, str]] = None
 
     def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
@@ -545,12 +592,12 @@ class _OverrideMonitor:
         if isinstance(action, Wait):
             return
         path = _as_path(state, action)
-        if path is None or not is_trimmed(state, action):
+        if path is None or not _trimmed_base(state, path[1]):
             self.report.skipped.append(Witness(state.round, format_action(action)))
             return
-        base = path[1]
-        cps = set(checkpoints(state))
-        if base in cps or any(s in cps for s in successors(state, base)):
+        # the base and the checkpoints are chain blocks, and labels grow up
+        # the chain: a checkpoint sits at or above the base iff the last does
+        if self.cps(state)[-1] >= path[1]:
             self.pending = (state.round, format_action(action))
 
     def round_end(self, state: GameState, new_blocks, capped: bool, round_no: int) -> None:
@@ -559,27 +606,27 @@ class _OverrideMonitor:
         rnd, label = self.pending
         self.pending = None
         self.report.checked += 1
-        if state.tip() not in checkpoints(state):
+        if self.cps(state)[-1] != state._tip:  # the tip is the top chain block
             self.report.hit(rnd, label)
 
 
-def _classifier_run() -> tuple[PropertyReport, list]:
+def _classifier_run(cps: Optional[_RoundCheckpoints] = None) -> tuple[PropertyReport, list]:
     report = PropertyReport()
     return report, [
         _ActionClassifierMonitor(report),
         _OpportunisticMonitor(report.opportunistic),
-        _CheckpointRecurrentMonitor(report.checkpoint_recurrent),
+        _CheckpointRecurrentMonitor(report.checkpoint_recurrent, cps or _RoundCheckpoints()),
     ]
 
 
-def _fork_ownership_run() -> tuple[MonitorReport, list]:
+def _fork_ownership_run(cps: Optional[_RoundCheckpoints] = None) -> tuple[MonitorReport, list]:
     report = MonitorReport()
     return report, [_ForkOwnershipMonitor(report)]
 
 
-def _override_run() -> tuple[MonitorReport, list]:
+def _override_run(cps: Optional[_RoundCheckpoints] = None) -> tuple[MonitorReport, list]:
     report = MonitorReport()
-    return report, [_OverrideMonitor(report)]
+    return report, [_OverrideMonitor(report, cps or _RoundCheckpoints())]
 
 
 _RUNS = (_classifier_run, _fork_ownership_run, _override_run)
@@ -597,7 +644,8 @@ def _checked(trace: Trace, run):
     lists = (trace.creators, trace.m1_actions, trace.cap_flags, trace.heights)
     memo = trace._checks
     if memo is None or memo[0] != lists:
-        runs = [r() for r in _RUNS]
+        cps = _RoundCheckpoints()  # the shared replay computes each position's checkpoints once
+        runs = [r(cps) for r in _RUNS]
         try:
             replay_trace(trace, [obs for _, observers in runs for obs in observers])
         except Exception:  # whatever broke, this check's own replay decides

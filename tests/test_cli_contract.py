@@ -96,6 +96,9 @@ BAD_INPUTS = {
     "verify-negative-rounds": lambda tmp: (
         ["verify", "--strategy", "sm", "--rounds", "-3", "--games", "1"], {}
     ),
+    "verify-zero-rounds": lambda tmp: (
+        ["verify", "--strategy", "sm", "--rounds", "0", "--games", "2"], {}
+    ),
     "verify-unknown-property": lambda tmp: (
         ["verify", "--strategy", "sm", "--properties", "bogus", "--games", "1"], {}
     ),
