@@ -375,8 +375,10 @@ def mc_value(
     cap_rounds: int = 10**6,
 ) -> ValueEstimate:
     """Monte Carlo weighted game reward (1-lam)*R1 - lam*R2 accumulated
-    from ``start`` until the strategy settles."""
+    from ``start`` until the strategy settles; ``lam`` must lie in [0, 1]."""
     _check_alpha(alpha)
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lam must be in [0, 1], got {lam}")
     _check_count("episodes", episodes)
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)

@@ -170,14 +170,19 @@ def desugar(state: "GameState", miner: int, action: Action) -> Union[Wait, Publi
             )
         action = PublishPath(frozenset(pool[: action.count]), action.base)
     if isinstance(action, PublishPath):
-        chain = sorted(action.blocks)
-        edges = []
-        prev = action.base
-        for b in chain:
-            edges.append((b, prev))
-            prev = b
-        return PublishSet(frozenset(chain), tuple(edges))
+        return _path_set(sorted(action.blocks), action.base)
     raise TypeError(f"not an action: {action!r}")
+
+
+def _path_set(chain: list[int], base: int) -> PublishSet:
+    """The explicit form of an ascending path: ``chain[0]`` on ``base``,
+    every other block on the one before it."""
+    edges = []
+    prev = base
+    for b in chain:
+        edges.append((b, prev))
+        prev = b
+    return PublishSet(frozenset(chain), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +287,7 @@ class GameState:
     def _publish_one(self, b: int, target: int) -> None:
         """Attach one unpublished block; caller has already validated."""
         owner = self.creator[b]
-        self.unpublished(owner).discard(b)
+        (self.unpublished_1 if owner == MINER1 else self.unpublished_2).discard(b)
         self.parent[b] = target
         self._pub_seq[b] = (self.round, len(self._pub_seq))
         h = self._heights[target] + 1
@@ -304,7 +309,7 @@ def begin_round(state: GameState, creator: int) -> int:
     state.round += 1
     n = state.round
     state.creator[n] = creator
-    state.unpublished(creator).add(n)
+    (state.unpublished_1 if creator == MINER1 else state.unpublished_2).add(n)
     return n
 
 
@@ -329,7 +334,27 @@ def validate_action(state: GameState, miner: int, action: Action) -> Union[Wait,
     Violations raise the subclass of :class:`InvalidAction` matching the
     first broken rule: ownership, then edge targets inside the tree or the
     published set, then edge direction, then one-outgoing-edge-per-block.
+
+    A :class:`PublishPath` (the exact type) is checked without desugaring
+    first: after ownership, the only edge of an ascending path that can
+    break a rule is its first, (smallest block, base).  Every other edge
+    points at the block just below it in the set, so it stays inside the
+    set, points backwards and leaves one outgoing edge per block.  The
+    result is the :class:`PublishSet` that :func:`desugar` builds.
     """
+    if type(action) is PublishPath:
+        chain = sorted(action.blocks)
+        own = state.unpublished_1 if miner == MINER1 else state.unpublished_2
+        for b in chain:
+            if b not in own:
+                raise NotOwned(b)
+        if chain:
+            first, base = chain[0], action.base
+            if not (base == GENESIS or base in state.parent or base in action.blocks):
+                raise DanglingEdge((first, base))
+            if not first > base:
+                raise BackwardEdge((first, base))
+        return _path_set(chain, action.base)
     flat = desugar(state, miner, action)
     if isinstance(flat, Wait):
         return flat
@@ -361,9 +386,9 @@ def attach_action(state: GameState, miner: int, action: Action) -> Union[Wait, P
     ascending label order) and return its desugared form."""
     flat = validate_action(state, miner, action)
     if not isinstance(flat, Wait):
-        parent_of = dict(flat.edges)
-        for b in sorted(flat.blocks):
-            state._publish_one(b, parent_of[b])
+        # one edge per block, so ascending edges are ascending blocks
+        for b, t in sorted(flat.edges):
+            state._publish_one(b, t)
     return flat
 
 
@@ -437,21 +462,29 @@ def reward(before: GameState, after: GameState, miner: int) -> int:
 # reachability, capitulation
 
 
-def _max_reachable(state: GameState, b: int) -> int:
-    """Greatest height ``b`` can get from one Miner-1-style publish by its owner."""
-    if state.is_published(b):
-        return state._heights[b]
-    owner = state.creator[b]
-    pool = sorted(state.unpublished(owner))
-    i_b = bisect_right(pool, b)
-    best = 0
-    for v in state.published_blocks():
-        if v < b:
-            stack = i_b - bisect_right(pool, v)
-            h = state._heights[v] + stack
+def _survivors(pool: set[int], published: list[int], heights: dict[int, int], c: int) -> set[int]:
+    """The blocks of one withheld pool that a publish by their owner can
+    still lift above height ``c``.
+
+    Stacking the pool's blocks in (v, u] on a published v puts u at
+    height(v) + the pool count in (v, u], so u survives iff its pool count
+    up to u plus the greatest height(v) - pool count up to v, over
+    published v < u, is at least c + 1.  ``published`` holds the published
+    blocks other than genesis in ascending order; one merge with the sorted
+    pool keeps that maximum as it goes.
+    """
+    keep = set()
+    best = 0  # genesis: height 0, below every pool block
+    j, n = 0, len(published)
+    for count, u in enumerate(sorted(pool), 1):
+        while j < n and published[j] < u:
+            h = heights[published[j]] - count + 1
             if h > best:
                 best = h
-    return best
+            j += 1
+        if count + best > c:
+            keep.add(u)
+    return keep
 
 
 def capitulate(state: GameState, c: int) -> GameState:
@@ -474,16 +507,15 @@ def capitulate(state: GameState, c: int) -> GameState:
     while state._heights[g] > c:
         g = state.parent[g]
 
-    keep_u1 = {u for u in state.unpublished_1 if _max_reachable(state, u) >= c + 1}
-    keep_u2 = {u for u in state.unpublished_2 if _max_reachable(state, u) >= c + 1}
-
     s = GameState()
     s.round = state.round
     s.offset = state.offset if g == GENESIS else g
-    s.unpublished_1 = keep_u1
-    s.unpublished_2 = keep_u2
-    for u in keep_u1 | keep_u2:
-        s.creator[u] = state.creator[u]
+    if state.unpublished_1 or state.unpublished_2:
+        published = sorted(state.parent)
+        s.unpublished_1 = _survivors(state.unpublished_1, published, state._heights, c)
+        s.unpublished_2 = _survivors(state.unpublished_2, published, state._heights, c)
+        for u in s.unpublished_1 | s.unpublished_2:
+            s.creator[u] = state.creator[u]
     if g == state._tip:
         return s
 

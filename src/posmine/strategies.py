@@ -333,9 +333,13 @@ class Engine:
         self.locked_t2 = 0
         self.locked_h = 0
         self.caps = 0
-        self._half_hooks = _hooks(observers, "half")
-        self._end_hooks = _hooks(observers, "round_end")
-        self._cap_hooks = _hooks(observers, "capitulated")
+        observers = tuple(observers)
+        if observers:
+            self._half_hooks = _hooks(observers, "half")
+            self._end_hooks = _hooks(observers, "round_end")
+            self._cap_hooks = _hooks(observers, "capitulated")
+        else:
+            self._half_hooks = self._end_hooks = self._cap_hooks = ()
 
     # totals including locked prefix
     def t1_total(self) -> int:
@@ -385,8 +389,8 @@ class Engine:
         return action, m2_base, r1, r2, settled
 
 
-def _hooks(observers, name: str) -> list:
-    return [h for h in (getattr(obs, name, None) for obs in observers) if h is not None]
+def _hooks(observers: tuple, name: str) -> tuple:
+    return tuple(h for h in (getattr(obs, name, None) for obs in observers) if h is not None)
 
 
 @dataclass

@@ -1,10 +1,14 @@
-"""The settle fast path: `capitulate` at the tip height against the general
-settle it skips, kept here as it stood before the fast path existed."""
+"""The settle fast paths against the bodies they replaced, kept here as
+they stood before: `capitulate` at the tip height against the general
+settle it skips, and the one-merge survivor scan against `_max_reachable`,
+which re-sorted the pool and scanned every published block per withheld
+block."""
 
 import random
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from posmine.blocktree import (
     GENESIS,
@@ -12,13 +16,29 @@ from posmine.blocktree import (
     MINER2,
     BadHeight,
     GameState,
-    _max_reachable,
     _rebuild_caches,
     capitulate,
     format_statefile,
 )
 from posmine.strategies import Engine, make_strategy
 from conftest import LadderRacer, TopHeavyRacer
+
+
+def _max_reachable(state: GameState, b: int) -> int:
+    """Greatest height ``b`` can get from one Miner-1-style publish by its owner."""
+    if state.is_published(b):
+        return state._heights[b]
+    owner = state.creator[b]
+    pool = sorted(state.unpublished(owner))
+    i_b = bisect_right(pool, b)
+    best = 0
+    for v in state.published_blocks():
+        if v < b:
+            stack = i_b - bisect_right(pool, v)
+            h = state._heights[v] + stack
+            if h > best:
+                best = h
+    return best
 
 
 def reference_capitulate(state: GameState, c: int) -> GameState:
@@ -133,3 +153,35 @@ def test_settle_at_the_tip_keeps_the_withheld_blocks_that_can_still_win():
 def test_settle_above_the_tip_is_still_refused():
     with pytest.raises(BadHeight):
         capitulate(GameState(), 1)
+
+
+@given(
+    hst.integers(min_value=0, max_value=60),
+    hst.integers(min_value=0, max_value=60),
+    hst.integers(min_value=0, max_value=40),
+    hst.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(60, 60, 40, 0)
+@example(60, 0, 0, 1)
+@settings(max_examples=80, deadline=None)
+def test_survivor_merge_matches_max_reachable(n1, n2, n_pub, seed):
+    # Both pools withheld, interleaved with a published tree of random
+    # forks; every settle height from genesis to the tip.
+    rng = random.Random(seed)
+    roles = [MINER1] * n1 + [MINER2] * n2 + [GENESIS] * n_pub
+    rng.shuffle(roles)
+    state = GameState()
+    state.round = len(roles)
+    published = [GENESIS]
+    for b, role in enumerate(roles, 1):
+        state.creator[b] = role or rng.choice((MINER1, MINER2))
+        if role:
+            state.unpublished(role).add(b)
+        else:
+            state._publish_one(b, rng.choice(published))
+            published.append(b)
+    for c in range(state.tip_height() + 1):
+        fast = capitulate(state, c)
+        for pool, kept in ((state.unpublished_1, fast.unpublished_1), (state.unpublished_2, fast.unpublished_2)):
+            assert kept == {u for u in pool if _max_reachable(state, u) >= c + 1}, (c, state)
+        assert_same_settle(state, c)
