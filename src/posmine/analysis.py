@@ -195,6 +195,7 @@ def mc_walk_stats(
 ) -> tuple[float, float, float]:
     """Empirical (up, down, duration) means over seeded catch-up walks."""
     _check_alpha(alpha)
+    _check_count("walks", walks)
     rng = np.random.default_rng(seed)
     pos = np.ones(walks, dtype=np.int64)
     ups = np.zeros(walks, dtype=np.int64)
@@ -221,6 +222,7 @@ def mc_ruin_probability(
     """Empirical chance of erasing a deficit of ``lead`` (walk truncated at
     ``-floor``, which contributes a vanishing bias)."""
     _check_alpha(alpha)
+    _check_count("walks", walks)
     if lead <= 0:
         return 1.0
     rng = np.random.default_rng(seed)

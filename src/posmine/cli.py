@@ -1,14 +1,18 @@
 """Command-line front end: seeded, reproducible experiment drivers.
 
 Exit codes: 0 success, 1 simulation/property failure, 2 usage or parse
-error.  Output files start with ``#`` comment headers that restate the
-full configuration, so a rerun with the same flags is byte-identical.
+error.  The commands raise the package's typed errors and ``_EXIT_CODES``
+maps them, once, at the ``main`` group; an error it does not name is a
+program fault and keeps its traceback.  Output files start with ``#``
+comment headers that restate the full configuration, so a rerun with the
+same flags is byte-identical.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from typing import NoReturn, Optional
 
 import click
@@ -43,6 +47,7 @@ from .analysis import (
     stake_dynamics,
     walk_stats,
     _check_alpha,
+    _check_count,
 )
 
 PROPERTIES = (
@@ -96,26 +101,6 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
-def _strategy(spec: str):
-    """``make_strategy``, exiting with 2 on a bad spec or an unreadable script."""
-    try:
-        return make_strategy(spec)
-    except ScriptError as e:
-        _fail(2, f"parse error: {e}")
-    except OSError as e:
-        _fail(2, f"usage error: cannot read {e.filename}: {e.strerror}")
-    except ValueError as e:
-        _fail(2, f"usage error: {e}")
-
-
-def _alpha(alpha: float) -> None:
-    """``analysis``'s (0, 1/2) rule, exiting with 2 outside it."""
-    try:
-        _check_alpha(alpha)
-    except DomainError as e:
-        _fail(2, f"usage error: {e}")
-
-
 def _header(cmd: str, **config) -> list[str]:
     lines = [f"# posmine {__version__}", f"# command: {cmd}"]
     for key in sorted(config):
@@ -162,7 +147,35 @@ def _revenue_csv(rows: list[RevenuePoint], header: list[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-@click.group()
+# First match wins.  An OSError counts only when it names a path: the
+# user's file could not be read or written.
+_EXIT_CODES = (
+    ((ScriptError, StatefileError, UnicodeDecodeError), 2, "parse error"),
+    ((DomainError, BadThreadCount, OSError), 2, "usage error"),
+    ((NonRecurrent, MajorityStake, BlockTreeError), 1, "simulation failed"),
+)
+_MAPPED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
+
+
+class _ContractGroup(click.Group):
+    """A command group that turns ``_EXIT_CODES`` errors into one stderr line;
+    any other exception propagates with its traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _MAPPED as e:
+            if not isinstance(e, OSError):
+                detail = str(e)
+            elif e.filename is not None:
+                detail = f"cannot open {e.filename}: {e.strerror}"
+            else:
+                raise
+            code, prefix = next((c, p) for types, c, p in _EXIT_CODES if isinstance(e, types))
+            _fail(code, f"{prefix}: {detail}")
+
+
+@click.group(cls=_ContractGroup)
 @click.version_option(__version__, prog_name="posmine")
 def main() -> None:
     """Mining-game simulation and analysis."""
@@ -184,31 +197,22 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
         _fail(2, "usage error: give exactly one of --alpha / --alpha-grid")
     alphas = [alpha] if alpha is not None else _grid(alpha_grid)
     rows = []
-    try:
-        if mode == "closed-form":
-            fn = _CLOSED_FORMS.get(strategy_id)
-            if fn is None:
-                have = sorted(_CLOSED_FORMS)
-                _fail(2, f"usage error: no closed form for {strategy_id!r} (have {have})")
-            for a in alphas:
-                rows.append(
-                    RevenuePoint(a, strategy_id, "closed_form", fn(a), seed=seed)
-                )
-        else:
-            _strategy(strategy_id)  # reject a bad spec before simulating
-            for a in alphas:
-                if cycles is not None:
-                    rows.append(mc_revenue_renewal(strategy_id, a, cycles, seed=seed))
-                elif rounds is not None and games is not None:
-                    rows.append(
-                        mc_revenue_liminf(strategy_id, a, rounds, games, seed=seed)
-                    )
-                else:
-                    _fail(2, "usage error: simulate mode needs --cycles or (--rounds and --games)")
-    except (DomainError, BadThreadCount) as e:
-        _fail(2, f"usage error: {e}")
-    except (NonRecurrent, BlockTreeError) as e:
-        _fail(1, f"simulation failed: {e}")
+    if mode == "closed-form":
+        fn = _CLOSED_FORMS.get(strategy_id)
+        if fn is None:
+            have = sorted(_CLOSED_FORMS)
+            _fail(2, f"usage error: no closed form for {strategy_id!r} (have {have})")
+        for a in alphas:
+            rows.append(RevenuePoint(a, strategy_id, "closed_form", fn(a), seed=seed))
+    else:
+        make_strategy(strategy_id)  # reject a bad spec before simulating
+        for a in alphas:
+            if cycles is not None:
+                rows.append(mc_revenue_renewal(strategy_id, a, cycles, seed=seed))
+            elif rounds is not None and games is not None:
+                rows.append(mc_revenue_liminf(strategy_id, a, rounds, games, seed=seed))
+            else:
+                _fail(2, "usage error: simulate mode needs --cycles or (--rounds and --games)")
     header = _header(
         "revenue",
         strategy=strategy_id,
@@ -231,14 +235,8 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
 @click.option("--emit-tree", "emit_tree", default=None, help="write final block tree as DOT")
 def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
     """Play one game and emit its per-round trace as CSV."""
-    _alpha(alpha)
-    strategy = _strategy(strategy_id)
-    try:
-        trace = run_game(strategy, alpha, rounds, seed=seed)
-    except DomainError as e:
-        _fail(2, f"usage error: {e}")
-    except BlockTreeError as e:
-        _fail(1, f"simulation failed: {e}")
+    _check_alpha(alpha)
+    trace = run_game(make_strategy(strategy_id), alpha, rounds, seed=seed)
     lines = _header(
         "simulate", strategy=strategy_id, alpha=alpha, rounds=rounds, seed=seed
     )
@@ -269,10 +267,11 @@ def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
                 ]
             )
         )
-    _emit("\n".join(lines) + "\n", out)
-    if emit_tree:
-        with open(emit_tree, "w") as fh:
-            fh.write(to_dot(trace.final_state))
+    # open the tree file first, so a bad path fails before any CSV reaches stdout
+    with open(emit_tree, "w") if emit_tree else nullcontext() as dot:
+        _emit("\n".join(lines) + "\n", out)
+        if dot:
+            dot.write(to_dot(trace.final_state))
 
 
 @main.command()
@@ -286,42 +285,34 @@ def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
               help="also run the fork-ownership and checkpoint-override monitors")
 def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
     """Classify traces against the structural properties; exit 1 on violation."""
-    _alpha(alpha)
+    _check_alpha(alpha)
     wanted = PROPERTIES if props == "all" else tuple(p.strip() for p in props.split(","))
     unknown = [p for p in wanted if p not in PROPERTIES]
     if unknown:
         _fail(2, f"usage error: unknown properties: {unknown} (have {PROPERTIES})")
-    if games < 1:
-        _fail(2, f"usage error: games must be >= 1, got {games}")
-    if rounds < 1:
-        _fail(2, f"usage error: rounds must be >= 1, got {rounds}")
+    _check_count("games", games)
+    _check_count("rounds", rounds)
     failures: dict[str, str] = {}
     checked = {p: 0 for p in wanted}
     mon_fail: dict[str, str] = {}
-    try:
-        for g in range(games):
-            strategy = _strategy(strategy_id)
-            trace = run_game(strategy, alpha, rounds, seed=derive_seed(seed, g))
-            report = classify_trace(trace).as_dict()
-            for p in wanted:
-                verdict = report[p]
-                checked[p] += 1
-                if not verdict.holds and p not in failures:
-                    w = verdict.violations[0]
-                    failures[p] = f"game={g} round={w.round} action={w.detail}"
-            if monitors:
-                fo = fork_ownership_check(trace)
-                if not fo.holds and "fork_ownership" not in mon_fail:
-                    w = fo.violations[0]
-                    mon_fail["fork_ownership"] = f"game={g} round={w.round} {w.detail}"
-                ov = checkpoint_override_check(trace)
-                if not ov.holds and "checkpoint_override" not in mon_fail:
-                    w = ov.violations[0]
-                    mon_fail["checkpoint_override"] = f"game={g} round={w.round} {w.detail}"
-    except DomainError as e:
-        _fail(2, f"usage error: {e}")
-    except BlockTreeError as e:
-        _fail(1, f"simulation failed: {e}")
+    for g in range(games):
+        trace = run_game(make_strategy(strategy_id), alpha, rounds, seed=derive_seed(seed, g))
+        report = classify_trace(trace).as_dict()
+        for p in wanted:
+            verdict = report[p]
+            checked[p] += 1
+            if not verdict.holds and p not in failures:
+                w = verdict.violations[0]
+                failures[p] = f"game={g} round={w.round} action={w.detail}"
+        if monitors:
+            fo = fork_ownership_check(trace)
+            if not fo.holds and "fork_ownership" not in mon_fail:
+                w = fo.violations[0]
+                mon_fail["fork_ownership"] = f"game={g} round={w.round} {w.detail}"
+            ov = checkpoint_override_check(trace)
+            if not ov.holds and "checkpoint_override" not in mon_fail:
+                w = ov.violations[0]
+                mon_fail["checkpoint_override"] = f"game={g} round={w.round} {w.detail}"
     click.echo(f"strategy: {strategy_id}")
     click.echo(f"games: {games}  rounds: {rounds}  alpha: {alpha}  seed: {seed}")
     for p in wanted:
@@ -347,19 +338,14 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
 @click.option("--emit-csv", "out", default=None, help="CSV path (default stdout)")
 def reduce(inner_id, kind, rounds, seed, alpha, out):
     """Couple an inner strategy with its reduction; emit per-round revenue."""
-    _alpha(alpha)
-    inner = _strategy(inner_id)
+    _check_alpha(alpha)
+    inner = make_strategy(inner_id)
     if kind == "orderly":
-        wrapped = orderly_reduce(_strategy(inner_id))
+        wrapped = orderly_reduce(make_strategy(inner_id))
     else:
-        wrapped = lcm_reduce(_strategy(inner_id), horizon=rounds)
-    try:
-        t_inner = run_game(inner, alpha, rounds, seed=seed)
-        t_red = run_game(wrapped, alpha, rounds, seed=seed)
-    except DomainError as e:
-        _fail(2, f"usage error: {e}")
-    except BlockTreeError as e:
-        _fail(1, f"reduction failed: {e}")
+        wrapped = lcm_reduce(make_strategy(inner_id), horizon=rounds)
+    t_inner = run_game(inner, alpha, rounds, seed=seed)
+    t_red = run_game(wrapped, alpha, rounds, seed=seed)
     lines = _header(
         "reduce", inner=inner_id, kind=kind, rounds=rounds, seed=seed, alpha=alpha
     )
@@ -375,11 +361,8 @@ def reduce(inner_id, kind, rounds, seed, alpha, out):
 @click.option("--state", "state_path", required=True, type=click.Path(exists=True))
 def checkpoints_cmd(state_path):
     """Print the checkpoint labels of a saved state."""
-    try:
-        with open(state_path) as fh:
-            state = parse_statefile(fh.read())
-    except StatefileError as e:
-        _fail(2, f"parse error: {e}")
+    with open(state_path) as fh:
+        state = parse_statefile(fh.read())
     click.echo(" ".join(str(c) for c in checkpoints(state)))
 
 
@@ -392,12 +375,7 @@ def checkpoints_cmd(state_path):
 @click.option("--out", default=None, help="CSV path (default stdout)")
 def stake(strategy_id, alpha0, coins, rounds, seed, out):
     """Dynamic-stake run: creator odds follow Miner 1's coin share."""
-    try:
-        series = stake_dynamics(strategy_id, alpha0, coins, rounds, seed=seed)
-    except DomainError as e:
-        _fail(2, f"usage error: {e}")
-    except MajorityStake as e:
-        _fail(1, f"simulation failed: {e}")
+    series = stake_dynamics(strategy_id, alpha0, coins, rounds, seed=seed)
     lines = _header(
         "stake", strategy=strategy_id, alpha0=alpha0, coins=coins,
         rounds=rounds, seed=seed,
@@ -413,11 +391,8 @@ def stake(strategy_id, alpha0, coins, rounds, seed, out):
 @click.option("--lead", type=int, default=1)
 def walk(alpha, lead):
     """Catch-up walk expectations and the ruin probability for a lead."""
-    try:
-        ex, ey, etau = walk_stats(alpha)
-        ruin = ruin_probability(alpha, lead)
-    except DomainError as e:
-        _fail(2, f"usage error: {e}")
+    ex, ey, etau = walk_stats(alpha)
+    ruin = ruin_probability(alpha, lead)
     click.echo(f"up {ex:.6f}")
     click.echo(f"down {ey:.6f}")
     click.echo(f"duration {etau:.6f}")

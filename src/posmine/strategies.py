@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -216,6 +217,12 @@ class Scripted:
     def reset(self) -> None:
         self._next = 0
 
+    def attach(self, state: GameState) -> None:
+        """Play on from ``state``.  Moves are keyed by absolute round, which a
+        settle keeps, so the script resumes at its first move after
+        ``state.round``."""
+        self._next = bisect_right(self.moves, state.round, key=lambda move: move[0])
+
     def decide(self, half: HalfState) -> StrategyDecision:
         if self._next < len(self.moves) and self.moves[self._next][0] == half.block:
             _, action, settle = self.moves[self._next]
@@ -278,7 +285,7 @@ def make_strategy(spec: str):
         path = spec[len("scripted:@"):]
         with open(path) as f:
             return Scripted(parse_script(f.read()), name=f"scripted:{path}")
-    raise ValueError(f"unknown strategy {spec!r} (have frontier, sm, nsm, scripted:@file)")
+    raise DomainError(f"unknown strategy {spec!r} (have frontier, sm, nsm, scripted:@file)")
 
 
 def format_action(action: Action) -> str:

@@ -25,6 +25,7 @@ from posmine.analysis import (
 )
 from posmine.blocktree import MINER1, MINER2, begin_round, initial_state
 from posmine.strategies import Scripted, WithholdOvertake
+from posmine.blocktree import GENESIS, PublishPath
 
 M1, M2 = MINER1, MINER2
 
@@ -135,6 +136,16 @@ def test_empirical_catch_up_chance():
     assert mc_ruin_probability(0.3, 0, walks=10, seed=1) == 1.0
 
 
+@pytest.mark.parametrize("walks", [0, -4])
+def test_walk_estimators_need_at_least_one_walk(walks):
+    # an empty sample used to come back as nan, with numpy warnings
+    with pytest.raises(DomainError, match=f"walks must be >= 1, got {walks}"):
+        mc_walk_stats(0.3, walks=walks, seed=1)
+    for lead in (0, 2):
+        with pytest.raises(DomainError, match=f"walks must be >= 1, got {walks}"):
+            mc_ruin_probability(0.3, lead, walks=walks, seed=1)
+
+
 @given(a=st.floats(0.02, 0.48))
 def test_catch_up_chance_recursion(a):
     r1 = ruin_probability(a, 1)
@@ -206,6 +217,19 @@ def test_value_from_a_two_block_lead():
     for lam in (0.25, rev_sm_closed(0.25)):
         v = mc_value(WithholdOvertake(), start, lam, 0.25, episodes=4000, seed=4)
         assert v.estimate == pytest.approx(expect_r1 * (1 - lam), abs=5 * v.stderr + 1e-9)
+
+
+def test_value_of_a_script_from_a_start_state():
+    # every episode starts at round 3, where the script publishes the two held
+    # blocks over the bare chain: they beat Miner 2's one possible block
+    start = initial_state()
+    begin_round(start, M1)
+    begin_round(start, M1)
+    script = Scripted([(3, PublishPath(frozenset({1, 2}), GENESIS), True)])
+    v = mc_value(script, start, 0.4, 0.3, episodes=5, seed=1)
+    assert (v.estimate, v.stderr, v.episodes) == (pytest.approx(2 * 0.6), 0.0, 5)
+    with pytest.raises(NonRecurrent):  # a script that never settles
+        mc_value(Scripted([]), initial_state(), 0.3, 0.3, 5, seed=1, cap_rounds=50)
 
 
 @pytest.mark.parametrize("episodes", [0, -3])

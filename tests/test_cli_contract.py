@@ -3,9 +3,11 @@ traceback, and seeded outputs stay byte-identical (pinned by sha256)."""
 
 import hashlib
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from posmine import cli
 from posmine.cli import main
 
 
@@ -20,6 +22,12 @@ def runner():
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
     return str(path)
 
 
@@ -138,6 +146,42 @@ BAD_INPUTS = {
          "--rounds", "10", "--games", "4"],
         {"POSMINE_THREADS": "abc"},
     ),
+    # unwritable or unreadable paths
+    "simulate-out-missing-dir": lambda tmp: (
+        ["simulate", "--strategy", "sm", "--alpha", "0.3", "--rounds", "5",
+         "--out", str(tmp / "missing" / "t.csv")],
+        {},
+    ),
+    "stake-out-missing-dir": lambda tmp: (
+        ["stake", "--strategy", "nsm", "--alpha0", "0.3", "--rounds", "5",
+         "--out", str(tmp / "missing" / "s.csv")],
+        {},
+    ),
+    "revenue-out-missing-dir": lambda tmp: (
+        ["revenue", "--strategy", "sm", "--alpha", "0.3", "--out", str(tmp / "missing" / "r.csv")],
+        {},
+    ),
+    "reduce-emit-csv-missing-dir": lambda tmp: (
+        ["reduce", "--inner", "nsm", "--kind", "lcm", "--rounds", "5",
+         "--emit-csv", str(tmp / "missing" / "r.csv")],
+        {},
+    ),
+    # the CSV used to reach stdout before the tree file failed to open
+    "simulate-emit-tree-missing-dir": lambda tmp: (
+        ["simulate", "--strategy", "sm", "--alpha", "0.3", "--rounds", "5",
+         "--emit-tree", str(tmp / "missing" / "t.dot")],
+        {},
+    ),
+    "simulate-emit-tree-missing-dir-with-out": lambda tmp: (
+        ["simulate", "--strategy", "sm", "--alpha", "0.3", "--rounds", "5",
+         "--out", str(tmp / "t.csv"), "--emit-tree", str(tmp / "missing" / "t.dot")],
+        {},
+    ),
+    "checkpoints-state-is-a-directory": lambda tmp: (["checkpoints", "--state", str(tmp)], {}),
+    "checkpoints-state-not-utf8": lambda tmp: (
+        ["checkpoints", "--state", write_bytes(tmp, "utf16.state", b"\xff\xfe\x00p\x00o")],
+        {},
+    ),
 }
 
 
@@ -151,6 +195,44 @@ def test_bad_input_exits_2_with_one_line(runner, tmp_path, case):
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
 
 
+# A minimal valid call of each command with an output option.  Every such
+# command needs an entry, so a new one cannot skip the unwritable-path rule.
+OUTPUT_ARGS = {
+    "simulate": ["--strategy", "sm", "--alpha", "0.3", "--rounds", "5"],
+    "stake": ["--strategy", "nsm", "--alpha0", "0.3", "--rounds", "5"],
+    "revenue": ["--strategy", "sm", "--alpha", "0.3"],
+    "reduce": ["--inner", "nsm", "--kind", "lcm", "--rounds", "5"],
+}
+OUTPUT_OPTIONS = {"out", "emit_csv", "emit_tree"}
+
+
+def output_options(command):
+    """The command's options that name a file to write, by dest or by flag."""
+    return [
+        p for p in command.params
+        if isinstance(p, click.Option)
+        and OUTPUT_OPTIONS & {p.name, *(o.lstrip("-").replace("-", "_") for o in p.opts)}
+    ]
+
+
+def test_every_output_option_into_a_missing_directory_exits_2(runner, tmp_path):
+    seen = set()
+    for name, command in sorted(main.commands.items()):
+        for opt in output_options(command):
+            assert name in OUTPUT_ARGS, f"{name} {opt.opts[0]} has no OUTPUT_ARGS entry"
+            seen.add(name)
+            args = [name, *OUTPUT_ARGS[name], opt.opts[0]]
+            ok = runner.invoke(main, args + [str(tmp_path / f"{name}.{opt.name}")])
+            assert ok.exit_code == 0, (args, ok.stderr)
+            res = runner.invoke(main, args + [str(tmp_path / "missing" / opt.name)])
+            assert res.exit_code == 2, (args, res.stdout, res.stderr, res.exception)
+            assert "Traceback" not in res.stdout + res.stderr
+            assert res.stdout == ""
+            assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+            assert res.stderr.startswith("usage error: cannot open ")
+    assert seen == set(OUTPUT_ARGS)
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_a_script_that_does_not_fit_the_game_exits_1(runner, tmp_path, command):
     script = write(tmp_path, "misfit.script", "1 publish 7 -> 0 cap\n")
@@ -161,6 +243,17 @@ def test_a_script_that_does_not_fit_the_game_exits_1(runner, tmp_path, command):
     assert res.exit_code == 1
     assert res.stderr.startswith("simulation failed: ")
     assert "Traceback" not in res.stdout + res.stderr
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("bug"), OSError("no path named")])
+def test_an_unmapped_error_keeps_its_traceback(runner, monkeypatch, fault):
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, "run_game", broken)
+    res = runner.invoke(main, ["simulate", "--strategy", "sm", "--alpha", "0.3", "--rounds", "5"])
+    assert res.exception is fault
+    assert res.stderr == ""
 
 
 def test_stake_past_half_exits_1(runner):

@@ -62,6 +62,22 @@ def test_engine_calls_each_hook_in_round_order():
     ]
 
 
+def test_a_script_played_from_a_start_state_moves_at_its_labelled_rounds():
+    # Miner 1 holds blocks 1 and 2; the script's round-1 move is already past,
+    # its round-4 overtake and its round-5 move after that settle still land
+    held = Engine(Scripted([]))
+    held.play(M1)
+    held.play(M1)
+    overtake = PublishPath(frozenset({1, 2, 4}), GENESIS)
+    after = PublishPath(frozenset({5}), GENESIS)
+    script = Scripted([(1, WAIT, False), (4, overtake, True), (5, after, True)])
+    eng = Engine(script, state=held.state.clone())
+    assert eng.play(M2) == (WAIT, GENESIS, 0, 1, False)
+    assert eng.play(M1) == (overtake, -1, 3, -1, True)
+    assert eng.play(M1) == (after, -1, 1, 0, True)
+    assert (eng.t1_total(), eng.t2_total(), eng.caps) == (4, 0, 2)
+
+
 def test_observers_without_hooks_are_ignored():
     creators = [M1, M2, M1, M2, M2]
     eng = Engine(make_strategy("sm"), observers=[object()])
