@@ -1,31 +1,32 @@
 """Command-line front end: seeded, reproducible experiment drivers.
 
 Exit codes: 0 success, 1 simulation/property failure, 2 usage or parse
-error.  The commands raise the package's typed errors and ``_EXIT_CODES``
-maps them, once, at the ``main`` group; an error it does not name is a
-program fault and keeps its traceback.  Output files start with ``#``
-comment headers that restate the full configuration, so a rerun with the
-same flags is byte-identical.
+error.  The commands raise the package's typed errors (click raises its
+own for a bad option or command) and ``_EXIT_CODES`` maps them, once, at
+the ``main`` group, to one stderr line; an error it does not name is a
+program fault and keeps its traceback.  Every command writes through
+``_output``: an output file is checked before the run, written only when
+the run succeeds, and removed if the run created it and then failed.
+Output files start with ``#`` comment headers that restate the full
+configuration, so a rerun with the same flags is byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
-from contextlib import nullcontext
-from typing import NoReturn, Optional
+from contextlib import contextmanager
+from dataclasses import astuple, fields
+from typing import Iterable, Optional
 
 import click
 
 from . import __version__
-from .blocktree import (
-    BlockTreeError,
-    StatefileError,
-    parse_statefile,
-    to_dot,
-)
-from .strategies import ScriptError, derive_seed, make_strategy, run_game
+from .blocktree import BlockTreeError, StatefileError, parse_statefile, to_dot
+from .strategies import MINER2, ScriptError, derive_seed, format_action, make_strategy, run_game
 from .structure import (
+    PropertyReport,
     checkpoint_override_check,
     checkpoints,
     classify_trace,
@@ -50,21 +51,14 @@ from .analysis import (
     _check_count,
 )
 
-PROPERTIES = (
-    "timeserving",
-    "orderly",
-    "lcm",
-    "trimmed",
-    "opportunistic",
-    "checkpoint_recurrent",
+PROPERTIES = tuple(PropertyReport().as_dict())
+
+_MONITORS = (
+    ("fork_ownership", fork_ownership_check),
+    ("checkpoint_override", checkpoint_override_check),
 )
 
-_CLOSED_FORMS = {
-    "frontier": rev_frontier,
-    "sm": rev_sm_closed,
-    "nsm": rev_nsm_closed,
-}
-
+_CLOSED_FORMS = {"frontier": rev_frontier, "sm": rev_sm_closed, "nsm": rev_nsm_closed}
 
 _MAX_GRID_POINTS = 10_000
 
@@ -77,17 +71,17 @@ def _grid(spec: str) -> list[float]:
         parts = [float(x) for x in spec.split(":")]
         lo, hi, step = parts
     except ValueError:
-        _fail(2, f"usage error: bad grid {spec!r}, expected lo:hi:step")
+        raise DomainError(f"bad grid {spec!r}, expected lo:hi:step") from None
     if not all(map(math.isfinite, parts)):
-        _fail(2, f"usage error: bad grid {spec!r}: bounds and step must be finite")
+        raise DomainError(f"bad grid {spec!r}: bounds and step must be finite")
     if step <= 0 or hi < lo:
-        _fail(2, f"usage error: bad grid {spec!r}: need step > 0 and hi >= lo")
+        raise DomainError(f"bad grid {spec!r}: need step > 0 and hi >= lo")
     pts = []
     i = 0
     x = lo
     while x < hi - 1e-12:
         if len(pts) == _MAX_GRID_POINTS - 1:  # x and hi would overflow the cap
-            _fail(2, f"usage error: bad grid {spec!r}: more than {_MAX_GRID_POINTS} points")
+            raise DomainError(f"bad grid {spec!r}: more than {_MAX_GRID_POINTS} points")
         pts.append(x)
         i += 1
         x = lo + i * step
@@ -95,25 +89,45 @@ def _grid(spec: str) -> list[float]:
     return pts
 
 
-def _fail(code: int, message: str) -> NoReturn:
-    """Print a one-line error to stderr and exit with ``code``."""
-    click.echo(message, err=True)
-    sys.exit(code)
+@contextmanager
+def _output(*paths: Optional[str]):
+    """Collect a command's text, one list of chunks per path, and write it
+    only once the command succeeds: to the file, or to stdout for ``None``.
+
+    Each file is checked before any work by opening it to append, which
+    neither changes it nor needs a seekable file (``/dev/null`` passes).  A
+    file that check created is removed if the command fails, so a failed
+    run leaves an existing file as it was and creates none.
+    """
+    texts: list[list[str]] = [[] for _ in paths]
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+        yield texts
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
+    for path, chunks in zip(paths, texts):
+        if path:
+            with open(path, "w") as fh:
+                fh.writelines(chunks)
+        else:
+            click.echo("".join(chunks), nl=False)
 
 
-def _header(cmd: str, **config) -> list[str]:
-    lines = [f"# posmine {__version__}", f"# command: {cmd}"]
-    for key in sorted(config):
-        lines.append(f"# {key}: {config[key]}")
-    return lines
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+def _csv(command: str, columns: str, rows: Iterable[str], **config) -> str:
+    """The ``#`` header that restates ``config``, the column line and the
+    already formatted ``rows``, one per line."""
+    lines = [f"# posmine {__version__}", f"# command: {command}"]
+    lines += [f"# {key}: {config[key]}" for key in sorted(config)]
+    lines.append(columns)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(x) -> str:
@@ -124,34 +138,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _revenue_csv(rows: list[RevenuePoint], header: list[str]) -> str:
-    out = list(header)
-    out.append("alpha,strategy,method,estimate,stderr,rounds,games,cycles,seed")
-    for r in rows:
-        out.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.alpha,
-                    r.strategy,
-                    r.method,
-                    r.estimate,
-                    r.stderr,
-                    r.rounds,
-                    r.games,
-                    r.cycles,
-                    r.seed,
-                )
-            )
-        )
-    return "\n".join(out) + "\n"
-
-
 # First match wins.  An OSError counts only when it names a path: the
 # user's file could not be read or written.
 _EXIT_CODES = (
     ((ScriptError, StatefileError, UnicodeDecodeError), 2, "parse error"),
-    ((DomainError, BadThreadCount, OSError), 2, "usage error"),
+    ((DomainError, BadThreadCount, OSError, click.UsageError), 2, "usage error"),
     ((NonRecurrent, MajorityStake, BlockTreeError), 1, "simulation failed"),
 )
 _MAPPED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
@@ -159,20 +150,25 @@ _MAPPED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
 
 class _ContractGroup(click.Group):
     """A command group that turns ``_EXIT_CODES`` errors into one stderr line;
-    any other exception propagates with its traceback."""
+    any other exception propagates with its traceback.  click raises its
+    ``UsageError`` for a subcommand's bad options inside ``invoke``."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except _MAPPED as e:
-            if not isinstance(e, OSError):
+            if isinstance(e, click.UsageError):
+                detail = e.format_message()
+            elif not isinstance(e, OSError):
                 detail = str(e)
             elif e.filename is not None:
                 detail = f"cannot open {e.filename}: {e.strerror}"
             else:
                 raise
             code, prefix = next((c, p) for types, c, p in _EXIT_CODES if isinstance(e, types))
-            _fail(code, f"{prefix}: {detail}")
+            detail = " ".join(map(str.strip, detail.splitlines()))  # click lists choices on lines
+            click.echo(f"{prefix}: {detail}", err=True)
+            sys.exit(code)
 
 
 @click.group(cls=_ContractGroup)
@@ -193,37 +189,31 @@ def main() -> None:
 @click.option("--out", default=None, help="CSV path (default stdout)")
 def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, out):
     """Closed-form or simulated revenue, one CSV row per alpha."""
-    if (alpha is None) == (alpha_grid is None):
-        _fail(2, "usage error: give exactly one of --alpha / --alpha-grid")
-    alphas = [alpha] if alpha is not None else _grid(alpha_grid)
-    rows = []
-    if mode == "closed-form":
-        fn = _CLOSED_FORMS.get(strategy_id)
-        if fn is None:
-            have = sorted(_CLOSED_FORMS)
-            _fail(2, f"usage error: no closed form for {strategy_id!r} (have {have})")
-        for a in alphas:
-            rows.append(RevenuePoint(a, strategy_id, "closed_form", fn(a), seed=seed))
-    else:
-        make_strategy(strategy_id)  # reject a bad spec before simulating
-        for a in alphas:
+    with _output(out) as (csv,):
+        if (alpha is None) == (alpha_grid is None):
+            raise DomainError("give exactly one of --alpha / --alpha-grid")
+        alphas = [alpha] if alpha is not None else _grid(alpha_grid)
+        if mode == "closed-form":
+            fn = _CLOSED_FORMS.get(strategy_id)
+            if fn is None:
+                have = sorted(_CLOSED_FORMS)
+                raise DomainError(f"no closed form for {strategy_id!r} (have {have})")
+            rows = [RevenuePoint(a, strategy_id, "closed_form", fn(a), seed=seed) for a in alphas]
+        else:
+            make_strategy(strategy_id)  # reject a bad spec before simulating
             if cycles is not None:
-                rows.append(mc_revenue_renewal(strategy_id, a, cycles, seed=seed))
+                rows = [mc_revenue_renewal(strategy_id, a, cycles, seed=seed) for a in alphas]
             elif rounds is not None and games is not None:
-                rows.append(mc_revenue_liminf(strategy_id, a, rounds, games, seed=seed))
+                rows = [mc_revenue_liminf(strategy_id, a, rounds, games, seed=seed) for a in alphas]
             else:
-                _fail(2, "usage error: simulate mode needs --cycles or (--rounds and --games)")
-    header = _header(
-        "revenue",
-        strategy=strategy_id,
-        alpha=alpha if alpha is not None else alpha_grid,
-        mode=mode,
-        cycles=cycles,
-        rounds=rounds,
-        games=games,
-        seed=seed,
-    )
-    _emit(_revenue_csv(rows, header), out)
+                raise DomainError("simulate mode needs --cycles or (--rounds and --games)")
+        csv.append(_csv(
+            "revenue",
+            ",".join(f.name for f in fields(RevenuePoint)),
+            (",".join(map(_fmt, astuple(r))) for r in rows),
+            strategy=strategy_id, alpha=alpha if alpha is not None else alpha_grid,
+            mode=mode, cycles=cycles, rounds=rounds, games=games, seed=seed,
+        ))
 
 
 @main.command()
@@ -235,43 +225,27 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
 @click.option("--emit-tree", "emit_tree", default=None, help="write final block tree as DOT")
 def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
     """Play one game and emit its per-round trace as CSV."""
-    _check_alpha(alpha)
-    trace = run_game(make_strategy(strategy_id), alpha, rounds, seed=seed)
-    lines = _header(
-        "simulate", strategy=strategy_id, alpha=alpha, rounds=rounds, seed=seed
-    )
-    lines.append(
-        "round,creator,miner2_action,miner1_action,chain_tip,height,r1,r2,capitulated"
-    )
-    from .strategies import MINER2, format_action  # narrow import for the loop
-
-    for i in range(trace.rounds()):
-        rnd = i + 1
-        if trace.creators[i] == MINER2:
-            m2 = f"publish:{rnd}->{trace.m2_bases[i]}"
-        else:
-            m2 = "wait"
-        lines.append(
-            ",".join(
-                [
-                    str(rnd),
-                    str(trace.creators[i]),
-                    m2,
-                    # keep the row naively splittable: block lists use ';'
-                    format_action(trace.m1_actions[i]).replace(",", ";"),
-                    str(trace.tips[i]),
-                    str(trace.heights[i]),
-                    str(trace.r1[i]),
-                    str(trace.r2[i]),
-                    "1" if trace.cap_flags[i] else "0",
-                ]
+    with _output(out, emit_tree) as (csv, dot):
+        _check_alpha(alpha)
+        trace = run_game(make_strategy(strategy_id), alpha, rounds, seed=seed)
+        rows = []
+        for i, creator in enumerate(trace.creators):
+            rnd = i + 1
+            m2 = f"publish:{rnd}->{trace.m2_bases[i]}" if creator == MINER2 else "wait"
+            # keep the row naively splittable: block lists use ';'
+            m1 = format_action(trace.m1_actions[i]).replace(",", ";")
+            rows.append(
+                f"{rnd},{creator},{m2},{m1},{trace.tips[i]},{trace.heights[i]},"
+                f"{trace.r1[i]},{trace.r2[i]},{1 if trace.cap_flags[i] else 0}"
             )
-        )
-    # open the tree file first, so a bad path fails before any CSV reaches stdout
-    with open(emit_tree, "w") if emit_tree else nullcontext() as dot:
-        _emit("\n".join(lines) + "\n", out)
-        if dot:
-            dot.write(to_dot(trace.final_state))
+        csv.append(_csv(
+            "simulate",
+            "round,creator,miner2_action,miner1_action,chain_tip,height,r1,r2,capitulated",
+            rows,
+            strategy=strategy_id, alpha=alpha, rounds=rounds, seed=seed,
+        ))
+        if emit_tree:
+            dot.append(to_dot(trace.final_state))
 
 
 @main.command()
@@ -285,47 +259,35 @@ def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
               help="also run the fork-ownership and checkpoint-override monitors")
 def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
     """Classify traces against the structural properties; exit 1 on violation."""
-    _check_alpha(alpha)
-    wanted = PROPERTIES if props == "all" else tuple(p.strip() for p in props.split(","))
-    unknown = [p for p in wanted if p not in PROPERTIES]
-    if unknown:
-        _fail(2, f"usage error: unknown properties: {unknown} (have {PROPERTIES})")
-    _check_count("games", games)
-    _check_count("rounds", rounds)
-    failures: dict[str, str] = {}
-    checked = {p: 0 for p in wanted}
-    mon_fail: dict[str, str] = {}
-    for g in range(games):
-        trace = run_game(make_strategy(strategy_id), alpha, rounds, seed=derive_seed(seed, g))
-        report = classify_trace(trace).as_dict()
-        for p in wanted:
-            verdict = report[p]
-            checked[p] += 1
-            if not verdict.holds and p not in failures:
-                w = verdict.violations[0]
-                failures[p] = f"game={g} round={w.round} action={w.detail}"
-        if monitors:
-            fo = fork_ownership_check(trace)
-            if not fo.holds and "fork_ownership" not in mon_fail:
-                w = fo.violations[0]
-                mon_fail["fork_ownership"] = f"game={g} round={w.round} {w.detail}"
-            ov = checkpoint_override_check(trace)
-            if not ov.holds and "checkpoint_override" not in mon_fail:
-                w = ov.violations[0]
-                mon_fail["checkpoint_override"] = f"game={g} round={w.round} {w.detail}"
-    click.echo(f"strategy: {strategy_id}")
-    click.echo(f"games: {games}  rounds: {rounds}  alpha: {alpha}  seed: {seed}")
-    for p in wanted:
-        if p in failures:
-            click.echo(f"{p}: violation {failures[p]}")
-        else:
-            click.echo(f"{p}: ok ({checked[p]} games)")
-    for name, msg in mon_fail.items():
-        click.echo(f"{name}: violation {msg}")
-    if monitors and not mon_fail:
-        click.echo(f"fork_ownership: ok ({games} games)")
-        click.echo(f"checkpoint_override: ok ({games} games)")
-    if failures or mon_fail:
+    with _output(None) as (stdout,):
+        _check_alpha(alpha)
+        wanted = PROPERTIES if props == "all" else tuple(p.strip() for p in props.split(","))
+        unknown = [p for p in wanted if p not in PROPERTIES]
+        if unknown:
+            raise DomainError(f"unknown properties: {unknown} (have {PROPERTIES})")
+        _check_count("games", games)
+        _check_count("rounds", rounds)
+        failures: dict[str, str] = {}  # first witness per property or monitor
+        for g in range(games):
+            trace = run_game(make_strategy(strategy_id), alpha, rounds, seed=derive_seed(seed, g))
+            report = classify_trace(trace).as_dict()
+            verdicts = [(p, report[p], "action=") for p in wanted]
+            if monitors:
+                verdicts += [(name, check(trace), "") for name, check in _MONITORS]
+            for name, verdict, tag in verdicts:
+                if not verdict.holds and name not in failures:
+                    w = verdict.violations[0]
+                    failures[name] = f"game={g} round={w.round} {tag}{w.detail}"
+        # monitors report in the order they first failed, and pass only together
+        names = [*wanted, *(n for n in failures if n not in wanted)]
+        if monitors and len(names) == len(wanted):
+            names += [name for name, _ in _MONITORS]
+        lines = [f"strategy: {strategy_id}",
+                 f"games: {games}  rounds: {rounds}  alpha: {alpha}  seed: {seed}"]
+        lines += [f"{n}: violation {failures[n]}" if n in failures else f"{n}: ok ({games} games)"
+                  for n in names]
+        stdout.append("\n".join(lines) + "\n")
+    if failures:
         sys.exit(1)
 
 
@@ -338,32 +300,30 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
 @click.option("--emit-csv", "out", default=None, help="CSV path (default stdout)")
 def reduce(inner_id, kind, rounds, seed, alpha, out):
     """Couple an inner strategy with its reduction; emit per-round revenue."""
-    _check_alpha(alpha)
-    inner = make_strategy(inner_id)
-    if kind == "orderly":
-        wrapped = orderly_reduce(make_strategy(inner_id))
-    else:
-        wrapped = lcm_reduce(make_strategy(inner_id), horizon=rounds)
-    t_inner = run_game(inner, alpha, rounds, seed=seed)
-    t_red = run_game(wrapped, alpha, rounds, seed=seed)
-    lines = _header(
-        "reduce", inner=inner_id, kind=kind, rounds=rounds, seed=seed, alpha=alpha
-    )
-    lines.append("round,rev_inner,rev_reduced")
-    ri = t_inner.revenue_series()
-    rr = t_red.revenue_series()
-    for i in range(rounds):
-        lines.append(f"{i + 1},{_fmt(ri[i])},{_fmt(rr[i])}")
-    _emit("\n".join(lines) + "\n", out)
+    with _output(out) as (csv,):
+        _check_alpha(alpha)
+        inner = make_strategy(inner_id)
+        if kind == "orderly":
+            wrapped = orderly_reduce(make_strategy(inner_id))
+        else:
+            wrapped = lcm_reduce(make_strategy(inner_id), horizon=rounds)
+        ri = run_game(inner, alpha, rounds, seed=seed).revenue_series()
+        rr = run_game(wrapped, alpha, rounds, seed=seed).revenue_series()
+        csv.append(_csv(
+            "reduce",
+            "round,rev_inner,rev_reduced",
+            (f"{i + 1},{_fmt(ri[i])},{_fmt(rr[i])}" for i in range(rounds)),
+            inner=inner_id, kind=kind, rounds=rounds, seed=seed, alpha=alpha,
+        ))
 
 
 @main.command("checkpoints")
 @click.option("--state", "state_path", required=True, type=click.Path(exists=True))
 def checkpoints_cmd(state_path):
     """Print the checkpoint labels of a saved state."""
-    with open(state_path) as fh:
+    with _output(None) as (stdout,), open(state_path) as fh:
         state = parse_statefile(fh.read())
-    click.echo(" ".join(str(c) for c in checkpoints(state)))
+        stdout.append(" ".join(str(c) for c in checkpoints(state)) + "\n")
 
 
 @main.command()
@@ -375,15 +335,14 @@ def checkpoints_cmd(state_path):
 @click.option("--out", default=None, help="CSV path (default stdout)")
 def stake(strategy_id, alpha0, coins, rounds, seed, out):
     """Dynamic-stake run: creator odds follow Miner 1's coin share."""
-    series = stake_dynamics(strategy_id, alpha0, coins, rounds, seed=seed)
-    lines = _header(
-        "stake", strategy=strategy_id, alpha0=alpha0, coins=coins,
-        rounds=rounds, seed=seed,
-    )
-    lines.append("round,stake")
-    for i, frac in enumerate(series.fractions):
-        lines.append(f"{i + 1},{_fmt(frac)}")
-    _emit("\n".join(lines) + "\n", out)
+    with _output(out) as (csv,):
+        series = stake_dynamics(strategy_id, alpha0, coins, rounds, seed=seed)
+        csv.append(_csv(
+            "stake",
+            "round,stake",
+            (f"{i + 1},{_fmt(frac)}" for i, frac in enumerate(series.fractions)),
+            strategy=strategy_id, alpha0=alpha0, coins=coins, rounds=rounds, seed=seed,
+        ))
 
 
 @main.command()
@@ -391,12 +350,10 @@ def stake(strategy_id, alpha0, coins, rounds, seed, out):
 @click.option("--lead", type=int, default=1)
 def walk(alpha, lead):
     """Catch-up walk expectations and the ruin probability for a lead."""
-    ex, ey, etau = walk_stats(alpha)
-    ruin = ruin_probability(alpha, lead)
-    click.echo(f"up {ex:.6f}")
-    click.echo(f"down {ey:.6f}")
-    click.echo(f"duration {etau:.6f}")
-    click.echo(f"ruin {ruin:.6f}")
+    with _output(None) as (stdout,):
+        ex, ey, etau = walk_stats(alpha)
+        ruin = ruin_probability(alpha, lead)
+        stdout.append(f"up {ex:.6f}\ndown {ey:.6f}\nduration {etau:.6f}\nruin {ruin:.6f}\n")
 
 
 if __name__ == "__main__":

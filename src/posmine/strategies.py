@@ -251,6 +251,10 @@ def parse_script(text: str) -> list[tuple[int, Action, bool]]:
             rnd = int(parts[0])
         except ValueError:
             raise ScriptError(i, f"expected a round number, got {parts[0]!r}") from None
+        if moves and rnd <= moves[-1][0]:
+            raise ScriptError(
+                i, f"round {rnd} after round {moves[-1][0]}: script rounds must be strictly increasing"
+            )
         cap = False
         if parts and parts[-1] == "cap":
             cap = True
@@ -267,10 +271,7 @@ def parse_script(text: str) -> list[tuple[int, Action, bool]]:
             moves.append((rnd, PublishPath(blocks, base), cap))
             continue
         raise ScriptError(i, "expected '<round> wait [cap]' or '<round> publish <blocks> -> <base> [cap]'")
-    try:
-        return Scripted(moves).moves
-    except ValueError as e:
-        raise ScriptError(0, str(e)) from None
+    return moves
 
 
 def make_strategy(spec: str):

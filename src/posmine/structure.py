@@ -394,8 +394,7 @@ class MonitorReport(PropertyVerdict):
 def replay_trace(trace: Trace, observers: list) -> GameState:
     """Re-run a recorded game through :class:`Engine`, with the recorded
     Miner-1 moves as a :class:`Scripted` strategy and ``observers`` hooked
-    into every round (see :class:`Engine` for the hooks), then call each
-    observer's ``finish(state)`` hook on the final state.
+    into every round (see :class:`Engine` for the hooks).
 
     Each round's chain height is checked against the trace's recorded
     heights (unless there are none); the first mismatch raises
@@ -420,10 +419,6 @@ def replay_trace(trace: Trace, observers: list) -> GameState:
         eng.play(creator)
         if trace.heights and eng.height_total() != trace.heights[i]:
             raise ReplayDiverged(i + 1, trace.heights[i], eng.height_total())
-    for obs in observers:
-        hook = getattr(obs, "finish", None)
-        if hook:
-            hook(eng.state)
     return eng.state
 
 

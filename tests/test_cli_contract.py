@@ -2,6 +2,9 @@
 traceback, and seeded outputs stay byte-identical (pinned by sha256)."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import click
 import pytest
@@ -182,6 +185,26 @@ BAD_INPUTS = {
         ["checkpoints", "--state", write_bytes(tmp, "utf16.state", b"\xff\xfe\x00p\x00o")],
         {},
     ),
+    "script-rounds-out-of-order": lambda tmp: (
+        ["simulate", "--strategy", "scripted:@" + write(tmp, "order.script", "3 wait\n2 wait cap\n"),
+         "--alpha", "0.3", "--rounds", "5"],
+        {},
+    ),
+    # click's own errors, each of which used to print a four-line usage block
+    "simulate-missing-rounds": lambda tmp: (["simulate", "--strategy", "sm", "--alpha", "0.3"], {}),
+    "simulate-alpha-not-a-number": lambda tmp: (
+        ["simulate", "--strategy", "sm", "--alpha", "abc", "--rounds", "5"], {}
+    ),
+    "stake-strategy-not-a-choice": lambda tmp: (
+        ["stake", "--strategy", "sm", "--alpha0", "0.3", "--rounds", "5"], {}
+    ),
+    "checkpoints-state-missing": lambda tmp: (
+        ["checkpoints", "--state", str(tmp / "missing.state")], {}
+    ),
+    "simulate-unknown-option": lambda tmp: (
+        ["simulate", "--strategy", "sm", "--alpha", "0.3", "--rounds", "5", "--bogus", "1"], {}
+    ),
+    "unknown-command": lambda tmp: (["bogus"], {}),
 }
 
 
@@ -193,6 +216,15 @@ def test_bad_input_exits_2_with_one_line(runner, tmp_path, case):
     assert "Traceback" not in res.stdout + res.stderr
     assert res.stdout == ""
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+def test_every_command_without_arguments_names_a_missing_option(runner):
+    for name in sorted(main.commands):
+        res = runner.invoke(main, [name])
+        assert res.exit_code == 2, (name, res.stdout, res.stderr, res.exception)
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert res.stderr.startswith("usage error: Missing option "), res.stderr
 
 
 # A minimal valid call of each command with an output option.  Every such
@@ -231,6 +263,64 @@ def test_every_output_option_into_a_missing_directory_exits_2(runner, tmp_path):
             assert len(res.stderr.strip().splitlines()) == 1, res.stderr
             assert res.stderr.startswith("usage error: cannot open ")
     assert seen == set(OUTPUT_ARGS)
+
+
+class Computed(Exception):
+    """Raised by a stand-in for a command's computation."""
+
+
+def test_an_unwritable_output_fails_before_the_computation(runner, tmp_path, monkeypatch):
+    def computed(*args, **kwargs):
+        raise Computed
+
+    for name in ("run_game", "stake_dynamics", "mc_revenue_renewal", "mc_revenue_liminf"):
+        monkeypatch.setattr(cli, name, computed)
+    for key in cli._CLOSED_FORMS:
+        monkeypatch.setitem(cli._CLOSED_FORMS, key, computed)
+    for name, args in sorted(OUTPUT_ARGS.items()):
+        for opt in output_options(main.commands[name]):
+            call = [name, *args, opt.opts[0]]
+            ran = runner.invoke(main, call + [str(tmp_path / f"{name}.{opt.name}")])
+            assert isinstance(ran.exception, Computed), (call, ran.stderr)
+            res = runner.invoke(main, call + [str(tmp_path / "missing" / opt.name)])
+            assert res.exit_code == 2, (call, res.stdout, res.stderr, res.exception)
+            assert res.stderr.startswith("usage error: cannot open ")
+    assert not list(tmp_path.iterdir())  # each file the check created went with the failure
+
+
+STAKE_PAST_HALF = ["stake", "--strategy", "nsm", "--alpha0", "0.35", "--coins", "1000",
+                   "--rounds", "20000", "--seed", "1"]
+
+
+@pytest.mark.parametrize("before", [b"# an earlier run\nround,stake\n1,0.3\n", None])
+def test_a_failed_run_leaves_its_output_as_it_was(runner, tmp_path, before):
+    out = tmp_path / "stake.csv"
+    if before is not None:
+        out.write_bytes(before)
+    res = runner.invoke(main, STAKE_PAST_HALF + ["--out", str(out)])
+    assert res.exit_code == 1
+    assert "round 5831" in res.stderr
+    assert res.stdout == ""
+    assert (out.read_bytes() if out.exists() else None) == before
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_ARGS))
+def test_output_to_dev_null(runner, name):
+    for opt in output_options(main.commands[name]):
+        res = runner.invoke(main, [name, *OUTPUT_ARGS[name], opt.opts[0], os.devnull])
+        assert res.exit_code == 0, (name, opt.opts[0], res.stderr, res.exception)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_dev_stdout_reaches_the_pipe():
+    args = [sys.executable, "-m", "posmine.cli", "stake", *OUTPUT_ARGS["stake"], "--seed", "2"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    plain = subprocess.run(args, capture_output=True, text=True, env=env, check=True)
+    piped = subprocess.run(args + ["--out", "/dev/stdout"], capture_output=True, text=True,
+                           env=env, check=True)
+    assert piped.stdout == plain.stdout
+    assert piped.stdout.startswith("# posmine ")
+    assert piped.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

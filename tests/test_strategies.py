@@ -243,6 +243,15 @@ def test_parse_script_error_lines():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text", ["3 wait\n2 wait cap\n", "3 wait\n3 wait cap\n"])
+def test_parse_script_names_the_line_of_an_out_of_order_round(text):
+    with pytest.raises(ScriptError) as err:
+        parse_script(text)
+    assert err.value.line == 2
+    assert str(err.value).startswith("line 2: ")
+    assert "strictly increasing" in str(err.value)
+
+
 def test_make_strategy_rejects_unknown_names():
     with pytest.raises(ValueError):
         make_strategy("greedy")
