@@ -14,8 +14,8 @@ dynamic-stake runs of the stock strategies are played by
 `strategies.StockStepper` (through `iter_cycles`, `run_totals` and
 `make_stepper`), which consumes the same draws as the round engine and
 builds no block tree; the decay check reads the one-shot advantage off the
-stepper's node.  `mc_value` starts from a given block tree, so it always
-runs the engine.
+stepper's node.  `mc_value` starts from a given block tree, so its
+`make_stepper` is always the engine.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .blocktree import MINER1, GameState
 from .strategies import (
     DomainError,
-    Engine,
     _check_rounds,
     _creator_stream,
     derive_seed,
@@ -377,29 +376,32 @@ def mc_value(
     cap_rounds: int = 10**6,
 ) -> ValueEstimate:
     """Monte Carlo weighted game reward (1-lam)*R1 - lam*R2 accumulated
-    from ``start`` until the strategy settles; ``lam`` must lie in [0, 1]."""
+    from ``start`` until the strategy settles; ``lam`` must lie in [0, 1].
+
+    Each episode steps ``make_stepper(strategy, start.clone())``, one
+    ``random.Random(seed).random()`` draw a round; R1 and R2 are the
+    settle's chain counts less ``start``'s.  An episode that has not
+    settled after ``cap_rounds`` rounds raises :class:`NonRecurrent`."""
     _check_alpha(alpha)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must be in [0, 1], got {lam}")
     _check_count("episodes", episodes)
     if isinstance(strategy, str):
         strategy = make_strategy(strategy)
-    creators = _creator_stream(alpha, seed)
+    rand = random.Random(seed).random
+    s1 = start.chain_owned(MINER1)
+    s2 = start.tip_height() - s1
     total = 0.0
     total_sq = 0.0
     for _ in range(episodes):
-        eng = Engine(strategy, state=start.clone())
-        r1_sum = r2_sum = 0
-        steps = 0
-        capped = False
-        while not capped:
-            _, _, r1, r2, capped = eng.play(next(creators))
-            r1_sum += r1
-            r2_sum += r2
-            steps += 1
-            if steps > cap_rounds:
-                raise NonRecurrent(f"episode exceeded {cap_rounds} rounds")
-        v = (1 - lam) * r1_sum - lam * r2_sum
+        step = make_stepper(strategy, start.clone()).step
+        for _ in range(cap_rounds):
+            settled = step(rand() < alpha)
+            if settled is not None:
+                break
+        else:
+            raise NonRecurrent(f"episode exceeded {cap_rounds} rounds")
+        v = (1 - lam) * (settled[0] - s1) - lam * (settled[1] - s2)
         total += v
         total_sq += v * v
     mean = total / episodes

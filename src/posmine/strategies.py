@@ -8,11 +8,13 @@ accumulates locked chain counts across those restarts, so total revenue
 ``r1_total / height_total`` is exact over the whole run.  The engine is the
 package's only round loop over a block tree: trace replay
 (``structure.replay_trace``) drives it with a :class:`Scripted` strategy and
-observer hooks.  The one shortcut is :class:`StockStepper`, which plays the
-stock strategies one round at a time as small automata over the same creator
-draws, with no block tree; :func:`iter_cycles`, :func:`run_totals`,
-``analysis.potential_reward_decay_check`` and ``analysis.stake_dynamics``
-use it for those exact types and the engine for every other strategy.
+observer hooks.  The engine is also a stepper: ``step(mine)`` plays one
+round and reports the settle payoff, so every estimator loops over
+:func:`make_stepper`.  The one shortcut is :class:`StockStepper`, which
+plays the stock strategies one round at a time as small automata over the
+same creator draws, with no block tree; :func:`make_stepper` returns it for
+those exact types from a fresh game and the engine for every other
+strategy or start position.
 
 Strategies included: the frontier policy (publish immediately, always
 capitulate), withhold-and-overtake (hold a private lead, publish it all when
@@ -322,6 +324,12 @@ class Engine:
     sees the finished round before any settle, with the blocks published
     in it in publication order; ``capitulated(state)`` sees the fresh
     state after a settle.
+
+    The engine has :class:`StockStepper`'s interface, for any strategy and
+    start: ``step(mine)`` plays a round whose block is Miner 1's if
+    ``mine`` and returns how much ``locked_t1`` and ``locked_t2`` grew, or
+    None if the round did not settle; ``height()``, ``chain_owned()`` and
+    ``potential_reward()`` read the live state.
     """
 
     __slots__ = (
@@ -358,6 +366,21 @@ class Engine:
 
     def height_total(self) -> int:
         return self.locked_h + self.state.tip_height()
+
+    def height(self) -> int:
+        return self.state.tip_height()
+
+    def chain_owned(self) -> int:
+        return self.state.chain_owned(MINER1)
+
+    def potential_reward(self) -> int:
+        return potential_reward(self.state)
+
+    def step(self, mine: bool) -> Optional[tuple[int, int]]:
+        t1, t2 = self.locked_t1, self.locked_t2
+        if self.play(MINER1 if mine else MINER2)[4]:
+            return self.locked_t1 - t1, self.locked_t2 - t2
+        return None
 
     def play(self, creator: int) -> tuple[Action, int, int, int, bool]:
         """One round; returns (miner1 action, m2 base or -1, r1, r2, settled)."""
@@ -523,8 +546,9 @@ class StockStepper:
     """The stock strategies' node rules, one round at a time, with no block
     tree: ``step(mine)`` plays a round whose block is Miner 1's if ``mine``
     and returns the settle payoff ``(r1, r2)``, or None mid-cycle;
-    ``height()`` and ``potential_reward()`` read the live position off the
-    node.
+    ``height()``, ``chain_owned()`` and ``potential_reward()`` read the live
+    position off the node.  The :class:`Engine` has the same four methods
+    and plays every other strategy and start (see :func:`make_stepper`).
 
     This is the one definition of the stock node rules: start/hold1/lead/
     race for :class:`WithholdOvertake`, plus stall/double for
@@ -633,42 +657,15 @@ class StockStepper:
 _WON, _LOST = (1, 0), (0, 1)
 
 
-class _EngineStepper:
-    """The stepper interface over the :class:`Engine`, for any strategy."""
-
-    __slots__ = ("engine", "t1", "t2")
-
-    def __init__(self, strategy):
-        self.engine = Engine(strategy)
-        self.t1 = self.t2 = 0  # locked counts at the last settle
-
-    def height(self) -> int:
-        return self.engine.state.tip_height()
-
-    def chain_owned(self) -> int:
-        return self.engine.state.chain_owned(MINER1)
-
-    def potential_reward(self) -> int:
-        return potential_reward(self.engine.state)
-
-    def step(self, mine: bool) -> Optional[tuple[int, int]]:
-        eng = self.engine
-        *_, settled = eng.play(MINER1 if mine else MINER2)
-        if not settled:
-            return None
-        r1, r2 = eng.locked_t1 - self.t1, eng.locked_t2 - self.t2
-        self.t1, self.t2 = eng.locked_t1, eng.locked_t2
-        return r1, r2
-
-
-def make_stepper(strategy):
-    """A :class:`StockStepper` when ``type(strategy)`` is exactly
-    :class:`Frontier`, :class:`WithholdOvertake` or
-    :class:`PatientWithholdOvertake`; otherwise, subclasses included, the
-    same interface played by the :class:`Engine`."""
-    if type(strategy) in (Frontier, WithholdOvertake, PatientWithholdOvertake):
+def make_stepper(strategy, start: Optional[GameState] = None):
+    """A :class:`StockStepper` when ``start`` is None and ``type(strategy)``
+    is exactly :class:`Frontier`, :class:`WithholdOvertake` or
+    :class:`PatientWithholdOvertake`; otherwise, subclasses and any
+    ``start`` included, the :class:`Engine` playing ``strategy`` from
+    ``start`` (a fresh game when None)."""
+    if start is None and type(strategy) in (Frontier, WithholdOvertake, PatientWithholdOvertake):
         return StockStepper(strategy.kind)
-    return _EngineStepper(strategy)
+    return Engine(strategy, start)
 
 
 def run_totals(

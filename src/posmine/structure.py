@@ -457,8 +457,8 @@ class _OpportunisticMonitor:
         self.watch: list[tuple[int, int, bool, str]] = []  # (round, top, was_full, label)
 
     def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
-        if isinstance(action, Wait):
-            return
+        if isinstance(action, Wait) or not action.blocks:
+            return  # a publish of no block leaves nothing to watch
         path = _as_path(state, action)
         if path is None:
             flat = desugar(state, MINER1, action)

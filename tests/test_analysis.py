@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,15 @@ from posmine.analysis import (
 from posmine.blocktree import MINER1, MINER2, begin_round, initial_state
 from posmine.strategies import Scripted, WithholdOvertake
 from posmine.blocktree import GENESIS, PublishPath
+from posmine.blocktree import WAIT, attach_action
+from posmine.strategies import (
+    Engine,
+    Frontier,
+    PatientWithholdOvertake,
+    StockStepper,
+    _creator_stream,
+    make_stepper,
+)
 
 M1, M2 = MINER1, MINER2
 
@@ -230,6 +241,106 @@ def test_value_of_a_script_from_a_start_state():
     assert (v.estimate, v.stderr, v.episodes) == (pytest.approx(2 * 0.6), 0.0, 5)
     with pytest.raises(NonRecurrent):  # a script that never settles
         mc_value(Scripted([]), initial_state(), 0.3, 0.3, 5, seed=1, cap_rounds=50)
+
+
+def engine_loop_value(strategy, start, lam, alpha, episodes, seed=None, cap_rounds=10**6):
+    """``mc_value``'s episode loop before it stepped ``make_stepper``: one
+    ``Engine`` per episode, summing every round's r1 and r2; kept as the
+    oracle for the stepper loop."""
+    creators = _creator_stream(alpha, seed)
+    total = 0.0
+    total_sq = 0.0
+    for _ in range(episodes):
+        eng = Engine(strategy, state=start.clone())
+        r1_sum = r2_sum = 0
+        steps = 0
+        capped = False
+        while not capped:
+            _, _, r1, r2, capped = eng.play(next(creators))
+            r1_sum += r1
+            r2_sum += r2
+            steps += 1
+            if steps > cap_rounds:
+                raise NonRecurrent(f"episode exceeded {cap_rounds} rounds")
+        v = (1 - lam) * r1_sum - lam * r2_sum
+        total += v
+        total_sq += v * v
+    mean = total / episodes
+    var = max(0.0, total_sq / episodes - mean * mean)
+    return mean, math.sqrt(var / episodes)
+
+
+def chain_start(held):
+    """Miner 1's block 1 and Miner 2's block 2 on the public chain, then
+    ``held`` private Miner-1 blocks."""
+    state = initial_state()
+    begin_round(state, M1)
+    attach_action(state, M1, PublishPath(frozenset({1}), GENESIS))
+    begin_round(state, M2)
+    attach_action(state, M2, PublishPath(frozenset({2}), 1))
+    for _ in range(held):
+        begin_round(state, M1)
+    return state
+
+
+def race_start():
+    """One held Miner-1 block against Miner 2's published block 2."""
+    state = initial_state()
+    begin_round(state, M1)
+    begin_round(state, M2)
+    attach_action(state, M2, PublishPath(frozenset({2}), GENESIS))
+    return state
+
+
+def lead_start(k):
+    state = initial_state()
+    for _ in range(k):
+        begin_round(state, M1)
+    return state
+
+
+# (strategy factory, start, alpha, episodes): the start's chain counts are
+# not zero, or the script publishes mid-episode, or both
+VALUE_CASES = {
+    "frontier-on-a-chain": (Frontier, lambda: chain_start(0), 0.35, 400),
+    "script-publishes-mid-episode": (
+        # held blocks 3 and 4 go onto Miner 1's chain block at round 6,
+        # overtaking only if Miner 2 made neither block 5 nor block 6
+        lambda: Scripted([(6, PublishPath(frozenset({3, 4}), 1), False), (9, WAIT, True)]),
+        lambda: chain_start(2), 0.45, 300,
+    ),
+    "sm-from-a-race": (WithholdOvertake, race_start, 0.35, 600),
+    "nsm-from-a-race": (PatientWithholdOvertake, race_start, 0.4, 600),
+    "nsm-from-a-three-block-lead": (PatientWithholdOvertake, lambda: lead_start(3), 0.3, 300),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("case", sorted(VALUE_CASES))
+def test_value_equals_the_engine_loop(case, lam):
+    make, start, alpha, episodes = VALUE_CASES[case]
+    v = mc_value(make(), start(), lam, alpha, episodes, seed=5)
+    assert (v.estimate, v.stderr) == engine_loop_value(make(), start(), lam, alpha, episodes, seed=5)
+
+
+def test_value_episode_cap_is_inclusive():
+    # every episode settles on its fifth round
+    script, start = Scripted([(5, WAIT, True)]), initial_state()
+    v = mc_value(script, start, 0.3, 0.3, 3, seed=2, cap_rounds=5)
+    assert (v.estimate, v.stderr) == engine_loop_value(script, start, 0.3, 0.3, 3, seed=2, cap_rounds=5)
+    for value in (mc_value, engine_loop_value):
+        with pytest.raises(NonRecurrent, match="^episode exceeded 4 rounds$"):
+            value(script, start, 0.3, 0.3, 3, seed=2, cap_rounds=4)
+
+
+@pytest.mark.parametrize("cls", [Frontier, WithholdOvertake, PatientWithholdOvertake])
+def test_a_start_always_gets_the_engine(cls):
+    assert isinstance(make_stepper(cls()), StockStepper)
+    for start in (initial_state(), lead_start(2)):
+        if cls is Frontier and start.unpublished_1:
+            continue  # frontier never withholds
+        engine = make_stepper(cls(), start)
+        assert isinstance(engine, Engine) and engine.state is start
 
 
 @pytest.mark.parametrize("episodes", [0, -3])

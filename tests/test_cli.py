@@ -178,6 +178,18 @@ def test_verify_flags_a_scripted_violation(runner, tmp_path):
     assert "orderly: violation game=0 round=2" in res.output
 
 
+def test_verify_reports_a_repeated_property_once(runner):
+    res = runner.invoke(
+        main,
+        [
+            "verify", "--strategy", "frontier", "--properties", "orderly,lcm,orderly",
+            "--games", "2", "--rounds", "50",
+        ],
+    )
+    assert res.exit_code == 0
+    assert res.output.splitlines()[2:] == ["orderly: ok (2 games)", "lcm: ok (2 games)"]
+
+
 def test_verify_rejects_unknown_property(runner):
     res = runner.invoke(
         main, ["verify", "--strategy", "sm", "--properties", "tidy"]

@@ -271,6 +271,20 @@ def test_checkpoint_born_under_a_loose_block_breaks_recurrence():
     assert report.checkpoint_recurrent.violations[0].round == 4
 
 
+@pytest.mark.parametrize(
+    "action,label",
+    [(PublishPath(frozenset(), GENESIS), "publish:->0"), (PublishSet(frozenset(), ()), "publishset:")],
+)
+def test_a_publish_of_no_block_is_classified(action, label):
+    # the engine applies it as a no-op; the opportunism monitor has nothing
+    # to watch, and the per-action classifiers give their usual verdicts
+    tr = run_game(Scripted([(2, action, False)]), 0.3, 3, creators=[M1, M2, M1])
+    report = classify_trace(tr).as_dict()
+    failed = {k: [(w.round, w.detail) for w in v.violations] for k, v in report.items() if not v.holds}
+    assert failed == {"orderly": [(2, label)], "lcm": [(2, label)], "trimmed": [(2, label)]}
+    assert fork_ownership_check(tr).holds and checkpoint_override_check(tr).holds
+
+
 @pytest.mark.parametrize("name", ["frontier", "sm", "nsm"])
 def test_fork_ownership_and_override_monitors_pass(name):
     tr = run_game(make_strategy(name), 0.45, 2000, seed=6)
