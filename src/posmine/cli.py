@@ -47,8 +47,8 @@ from .analysis import (
 
 PROPERTIES = tuple(PropertyReport().as_dict())
 
-# each checked by ``structure.<name>_check``, looked up at call time so that
-# a wrapper put on the module (perfbench's tracer) sees every call
+# the monitors in report order; ``verify`` calls each as ``structure.<name>_check``,
+# looked up at call time so that a wrapper put on the module sees every call
 _MONITORS = ("fork_ownership", "checkpoint_override")
 
 _CLOSED_FORMS = {"frontier": rev_frontier, "sm": rev_sm_closed, "nsm": rev_nsm_closed}
@@ -266,7 +266,8 @@ def verify(strategy_id, props, alpha, rounds, games, seed, monitors):
             report = classify_trace(trace).as_dict()
             verdicts = [(p, report[p], "action=") for p in wanted]
             if monitors:
-                verdicts += [(name, getattr(structure, f"{name}_check")(trace), "") for name in _MONITORS]
+                verdicts += [("fork_ownership", structure.fork_ownership_check(trace), ""),
+                             ("checkpoint_override", structure.checkpoint_override_check(trace), "")]
             for name, verdict, tag in verdicts:
                 if not verdict.holds and name not in failures:
                     w = verdict.violations[0]

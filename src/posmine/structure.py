@@ -457,11 +457,13 @@ class _OpportunisticMonitor:
         self.watch: list[tuple[int, int, bool, str]] = []  # (round, top, was_full, label)
 
     def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
-        if isinstance(action, Wait) or not action.blocks:
-            return  # a publish of no block leaves nothing to watch
+        if isinstance(action, Wait):
+            return
         path = _as_path(state, action)
         if path is None:
             flat = desugar(state, MINER1, action)
+            if not flat.blocks:
+                return  # a publish of no block leaves nothing to watch
             blocks = sorted(flat.blocks)
             base = min(t for _, t in flat.edges if t not in flat.blocks)
         else:

@@ -5,6 +5,7 @@ from posmine.blocktree import (
     GENESIS,
     MINER1,
     MINER2,
+    Publish,
     PublishPath,
     PublishSet,
     WAIT,
@@ -31,6 +32,7 @@ from posmine.structure import (
     replay_trace,
 )
 from conftest import play_rounds
+from test_value_pins import CREATORS, MOVES
 
 M1, M2 = MINER1, MINER2
 
@@ -283,6 +285,35 @@ def test_a_publish_of_no_block_is_classified(action, label):
     failed = {k: [(w.round, w.detail) for w in v.violations] for k, v in report.items() if not v.holds}
     assert failed == {"orderly": [(2, label)], "lcm": [(2, label)], "trimmed": [(2, label)]}
     assert fork_ownership_check(tr).holds and checkpoint_override_check(tr).holds
+
+
+def _failures(trace):
+    report = classify_trace(trace).as_dict()
+    return {k: [(w.round, w.detail) for w in v.violations] for k, v in report.items() if not v.holds}
+
+
+@pytest.mark.parametrize(
+    "capped,failed",
+    [
+        (True, {"opportunistic": [(2, "Publish(1 on 0)")],
+                "checkpoint_recurrent": [(2, "unpublished [2] above new checkpoint 1")]}),
+        (False, {"checkpoint_recurrent": [(2, "unpublished [2] above new checkpoint 1")]}),
+    ],
+)
+def test_a_count_publish_is_classified(capped, failed):
+    # Publish(count, base) names no blocks: the monitor watches what it desugars to
+    tr = run_game(Scripted([(2, Publish(1, GENESIS), capped)]), 0.3, 5, creators=[M1, M1, M2, M2, M2])
+    assert _failures(tr) == failed
+
+
+def test_the_pinned_script_trace_is_classified():
+    # every action type, Publish(2, GENESIS) at round 13 included
+    tr = run_game(Scripted(MOVES), 0.3, len(CREATORS), creators=CREATORS)
+    set4, set6 = (4, "publishset:1->0;2->1;4->1"), (6, "publishset:6->4")
+    assert _failures(tr) == {
+        "timeserving": [set4, set6], "orderly": [set4], "lcm": [set4, set6], "trimmed": [set4, set6],
+        "checkpoint_recurrent": [(10, "checkpoints moved: [0, 1, 2, 5, 7, 8] -> [0, 1, 2, 5, 7, 9, 10]")],
+    }
 
 
 @pytest.mark.parametrize("name", ["frontier", "sm", "nsm"])
