@@ -28,7 +28,6 @@ from .strategies import MINER2, ScriptError, derive_seed, format_action, make_st
 from .structure import PropertyReport, checkpoints, classify_trace
 from .reductions import lcm_reduce, orderly_reduce
 from .analysis import (
-    BadThreadCount,
     DomainError,
     MajorityStake,
     NonRecurrent,
@@ -135,7 +134,7 @@ def _fmt(x) -> str:
 # user's file could not be read or written.
 _EXIT_CODES = (
     ((ScriptError, StatefileError, UnicodeDecodeError), 2, "parse error"),
-    ((DomainError, BadThreadCount, OSError, click.UsageError), 2, "usage error"),
+    ((DomainError, OSError, click.UsageError), 2, "usage error"),
     ((NonRecurrent, MajorityStake, BlockTreeError), 1, "simulation failed"),
 )
 _MAPPED = tuple(t for types, _, _ in _EXIT_CODES for t in types)
@@ -178,7 +177,7 @@ def main() -> None:
 @click.option("--cycles", type=int, default=None, help="renewal-cycle count (simulate)")
 @click.option("--rounds", type=int, default=None, help="rounds per game (simulate)")
 @click.option("--games", type=int, default=None, help="independent games (simulate)")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=0)
 @click.option("--out", default=None, help="CSV path (default stdout)")
 def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, out):
     """Closed-form or simulated revenue, one CSV row per alpha."""
@@ -213,7 +212,7 @@ def revenue(strategy_id, alpha, alpha_grid, mode, cycles, rounds, games, seed, o
 @click.option("--strategy", "strategy_id", required=True)
 @click.option("--alpha", type=float, required=True)
 @click.option("--rounds", type=int, required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=0)
 @click.option("--out", default=None, help="trace CSV path (default stdout)")
 @click.option("--emit-tree", "emit_tree", default=None, help="write final block tree as DOT")
 def simulate(strategy_id, alpha, rounds, seed, out, emit_tree):
@@ -325,7 +324,7 @@ def checkpoints_cmd(state_path):
 @click.option("--alpha0", type=float, required=True)
 @click.option("--coins", type=int, default=100_000)
 @click.option("--rounds", type=int, required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=0)
 @click.option("--out", default=None, help="CSV path (default stdout)")
 def stake(strategy_id, alpha0, coins, rounds, seed, out):
     """Dynamic-stake run: creator odds follow Miner 1's coin share."""

@@ -1,9 +1,11 @@
 
 import math
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
+from posmine import analysis
 from posmine.analysis import (
     DomainError,
     NoSignChange,
@@ -199,14 +201,49 @@ def test_liminf_estimate_and_fields():
     assert pt.estimate == pytest.approx(0.3, abs=0.05)
 
 
-def test_liminf_is_identical_across_worker_counts(monkeypatch):
+def test_liminf_is_identical_across_worker_counts():
     one = mc_revenue_liminf("sm", 0.35, rounds=600, games=8, seed=9, threads=1)
     four = mc_revenue_liminf("sm", 0.35, rounds=600, games=8, seed=9, threads=4)
     assert one.estimate == four.estimate
     assert one.stderr == four.stderr
-    monkeypatch.setenv("POSMINE_THREADS", "3")
     via_env = mc_revenue_liminf("sm", 0.35, rounds=600, games=8, seed=9)
     assert via_env.estimate == one.estimate
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_the_worker_count_follows_the_job_size(monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    workers, least = analysis._workers, analysis._POOL_MIN_ROUNDS
+    assert workers(None, 4, least // 4 - 1) == 1
+    assert workers(None, 4, least // 4) == min(cpus, 4)
+    assert workers(None, 1, least) == 1  # one game, one worker
+    assert workers(None, 64, least) == min(cpus, 64)
+    assert workers(1, 64, least) == 1
+    assert workers(3, 1, 10) == 3
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_liminf_rejects_a_worker_count_below_one(threads):
+    with pytest.raises(DomainError, match=f"threads must be >= 1, got {threads}"):
+        mc_revenue_liminf("frontier", 0.3, rounds=10, games=4, threads=threads)
+
+
+def test_a_large_liminf_job_uses_the_pool_and_agrees_with_one_worker(monkeypatch):
+    pools = []
+
+    class CountedPool(analysis.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountedPool)
+    rounds = analysis._POOL_MIN_ROUNDS // 4
+    pooled = mc_revenue_liminf("frontier", 0.3, rounds=rounds, games=4, seed=5)
+    assert pools == [2]
+    one = mc_revenue_liminf("frontier", 0.3, rounds=rounds, games=4, seed=5, threads=1)
+    assert pools == [2]
+    assert (pooled.estimate, pooled.stderr) == (one.estimate, one.stderr)
 
 
 # --- weighted game value ------------------------------------------------------

@@ -1,7 +1,9 @@
+import os
 
 import pytest
 from click.testing import CliRunner
 
+from posmine import analysis
 from posmine.cli import main
 from conftest import data_path
 
@@ -80,6 +82,41 @@ def test_revenue_simulate_liminf_route(runner):
     row = data_rows(res.output)[1].split(",")
     assert row[2] == "mc_liminf"
     assert float(row[3]) == pytest.approx(0.3, abs=0.12)
+
+
+def test_revenue_liminf_at_bench_size_starts_no_pool(runner, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 4 x 3000-round job started a process pool")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+    res = runner.invoke(
+        main,
+        [
+            "revenue", "--strategy", "nsm", "--mode", "simulate",
+            "--alpha", "0.35", "--rounds", "3000", "--games", "4",
+        ],
+    )
+    assert res.exit_code == 0, res.exception
+    assert data_rows(res.output)[1].split(",")[2] == "mc_liminf"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--strategy", "sm", "--alpha", "0.35", "--rounds", "50"],
+        ["revenue", "--strategy", "sm", "--alpha", "0.35", "--mode", "simulate",
+         "--cycles", "200"],
+        ["stake", "--strategy", "nsm", "--alpha0", "0.3", "--rounds", "50"],
+    ],
+    ids=["simulate", "revenue", "stake"],
+)
+def test_reruns_without_a_seed_are_byte_identical(runner, args):
+    first = runner.invoke(main, args)
+    second = runner.invoke(main, args)
+    assert first.exit_code == 0
+    assert first.output == second.output
+    assert "# seed: 0" in first.output
 
 
 @pytest.mark.parametrize(

@@ -144,11 +144,6 @@ BAD_INPUTS = {
     ),
     "walk-alpha-above-half": lambda tmp: (["walk", "--alpha", "0.7"], {}),
     "walk-negative-lead": lambda tmp: (["walk", "--alpha", "0.3", "--lead", "-1"], {}),
-    "threads-not-int": lambda tmp: (
-        ["revenue", "--strategy", "frontier", "--mode", "simulate", "--alpha", "0.3",
-         "--rounds", "10", "--games", "4"],
-        {"POSMINE_THREADS": "abc"},
-    ),
     # unwritable or unreadable paths
     "simulate-out-missing-dir": lambda tmp: (
         ["simulate", "--strategy", "sm", "--alpha", "0.3", "--rounds", "5",
