@@ -281,9 +281,9 @@ def mc_revenue_liminf(
 ) -> RevenuePoint:
     """Mean terminal chain share over independent seeded games.
 
-    The games run on ``threads`` worker processes, or in this one for 1; by
-    default a job under ``_POOL_MIN_ROUNDS`` games x rounds runs in-process
-    and a larger one on ``min(os.cpu_count(), games)`` workers.  Per-game RNG
+    The games run on ``min(threads, games)`` worker processes, in this one
+    for 1.  By default a job under ``_POOL_MIN_ROUNDS`` games x rounds runs
+    in-process, a larger one on ``min(os.cpu_count(), games)`` workers.  RNG
     streams are keyed by (seed, game index), so every worker count agrees.
     """
     _check_alpha(alpha)
@@ -291,11 +291,11 @@ def mc_revenue_liminf(
     _check_count("games", games)
     base = seed if seed is not None else 0
     jobs = [(strategy_id, alpha, rounds, derive_seed(base, i)) for i in range(games)]
-    n = _workers(threads, games, rounds)
+    n = min(_workers(threads, games, rounds), games)
     if n == 1:
         revs = [_liminf_one(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=min(n, games)) as pool:
+        with ProcessPoolExecutor(max_workers=n) as pool:
             revs = list(pool.map(_liminf_one, jobs, chunksize=max(1, games // (4 * n))))
     arr = np.asarray(revs)
     stderr = float(arr.std(ddof=1) / math.sqrt(games)) if games > 1 else None

@@ -246,6 +246,15 @@ def test_a_large_liminf_job_uses_the_pool_and_agrees_with_one_worker(monkeypatch
     assert (pooled.estimate, pooled.stderr) == (one.estimate, one.stderr)
 
 
+def test_no_more_workers_than_games(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one game started a process pool")
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+    pt = mc_revenue_liminf("frontier", 0.3, rounds=10, games=1, seed=1, threads=3)
+    assert pt.games == 1 and pt.stderr is None
+
+
 # --- weighted game value ------------------------------------------------------
 
 
