@@ -16,6 +16,12 @@ dynamic-stake runs of the stock strategies are played by
 builds no block tree; the decay check reads the one-shot advantage off the
 stepper's node.  `mc_value` starts from a given block tree, so its
 `make_stepper` is always the engine.
+
+Importing this module loads neither numpy nor the process pool.  numpy is
+imported on the first call of `mc_walk_stats`, `mc_ruin_probability`,
+`growth_rate_check` or `mc_revenue_liminf` (which keeps numpy's pairwise
+mean and std, so seeded estimates stay bit-identical), and
+`concurrent.futures` only when a liminf job runs on more than one worker.
 """
 
 from __future__ import annotations
@@ -23,11 +29,8 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .blocktree import MINER1, GameState
 from .strategies import (
@@ -40,6 +43,9 @@ from .strategies import (
     make_strategy,
     run_totals,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DomainError",
@@ -188,6 +194,8 @@ def mc_walk_stats(
     alpha: float, walks: int = 10**6, seed: Optional[int] = None
 ) -> tuple[float, float, float]:
     """Empirical (up, down, duration) means over seeded catch-up walks."""
+    import numpy as np
+
     _check_alpha(alpha)
     _check_count("walks", walks)
     rng = np.random.default_rng(seed)
@@ -215,6 +223,8 @@ def mc_ruin_probability(
 ) -> float:
     """Empirical chance of erasing a deficit of ``lead`` (walk truncated at
     ``-floor``, which contributes a vanishing bias)."""
+    import numpy as np
+
     _check_alpha(alpha)
     _check_count("walks", walks)
     if lead <= 0:
@@ -284,17 +294,22 @@ def mc_revenue_liminf(
     The games run on ``min(threads, games)`` worker processes, in this one
     for 1.  By default a job under ``_POOL_MIN_ROUNDS`` games x rounds runs
     in-process, a larger one on ``min(os.cpu_count(), games)`` workers.  RNG
-    streams are keyed by (seed, game index), so every worker count agrees.
+    streams are keyed by (seed, game index), so every worker count agrees;
+    with no seed the call draws one base from OS entropy for all its games.
     """
+    import numpy as np
+
     _check_alpha(alpha)
     _check_count("rounds", rounds)
     _check_count("games", games)
-    base = seed if seed is not None else 0
+    base = seed if seed is not None else random.SystemRandom().getrandbits(64)
     jobs = [(strategy_id, alpha, rounds, derive_seed(base, i)) for i in range(games)]
     n = min(_workers(threads, games, rounds), games)
     if n == 1:
         revs = [_liminf_one(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n) as pool:
             revs = list(pool.map(_liminf_one, jobs, chunksize=max(1, games // (4 * n))))
     arr = np.asarray(revs)
@@ -431,6 +446,8 @@ def growth_rate_check(
 ) -> GrowthReport:
     """Chain height per round must stay above (1 - alpha) - slack over the
     second half of the run."""
+    import numpy as np
+
     _check_alpha(alpha)
     _check_count("rounds", rounds)
     if isinstance(strategy, str):

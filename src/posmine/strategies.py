@@ -27,7 +27,6 @@ settle Miner 1 wins into a publish.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -307,6 +306,8 @@ def format_action(action: Action) -> str:
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable per-game seed stream, independent of worker scheduling."""
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{index}".encode()).hexdigest()
     return int(digest[:16], 16)
 

@@ -40,6 +40,7 @@ from .blocktree import (
     BlockTreeError,
     GameState,
     PublishPath,
+    PublishSet,
     Wait,
     chain_path,
     desugar,
@@ -219,6 +220,13 @@ def checkpoint_reward_bound(state: GameState) -> CheckVerdict:
 # per-action classifiers
 
 
+def _publishes_nothing(action: Action) -> bool:
+    """A Wait, or a PublishPath / PublishSet of no block: the engine
+    applies either as a no-op, and the classifiers and monitors read it as
+    a Wait."""
+    return isinstance(action, Wait) or (isinstance(action, (PublishPath, PublishSet)) and not action.blocks)
+
+
 def _as_path(state: GameState, action: Action) -> Optional[tuple[list[int], int]]:
     """(ascending blocks, base) of a Miner-1 action whose edges form one
     path; None for a Wait or any other shape.  A non-empty
@@ -274,7 +282,7 @@ def is_timeserving(state: GameState, action: Action) -> bool:
 
 def is_orderly(state: GameState, action: Action) -> bool:
     """Are the published blocks the smallest available ones above the base?"""
-    if isinstance(action, Wait):
+    if _publishes_nothing(action):
         return True
     path = _as_path(state, action)
     if path is None:
@@ -286,7 +294,7 @@ def is_orderly(state: GameState, action: Action) -> bool:
 
 def is_lcm(state: GameState, action: Action) -> bool:
     """Does the action build on a block of the current longest chain?"""
-    if isinstance(action, Wait):
+    if _publishes_nothing(action):
         return True
     path = _as_path(state, action)
     return path is not None and on_chain(state, path[1])
@@ -298,7 +306,7 @@ def is_trimmed(state: GameState, action: Action) -> bool:
     True when the base is the tip itself, or when the base's immediate
     chain successor was created by Miner 2.
     """
-    if isinstance(action, Wait):
+    if _publishes_nothing(action):
         return True
     path = _as_path(state, action)
     return path is not None and _trimmed_base(state, path[1])
@@ -429,7 +437,7 @@ class _ActionClassifierMonitor:
         self.report = report
 
     def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
-        if isinstance(action, Wait):
+        if _publishes_nothing(action):
             return
         label = format_action(action)
         if not is_timeserving(state, action):
@@ -457,13 +465,11 @@ class _OpportunisticMonitor:
         self.watch: list[tuple[int, int, bool, str]] = []  # (round, top, was_full, label)
 
     def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
-        if isinstance(action, Wait):
+        if _publishes_nothing(action):
             return
         path = _as_path(state, action)
         if path is None:
             flat = desugar(state, MINER1, action)
-            if not flat.blocks:
-                return  # a publish of no block leaves nothing to watch
             blocks = sorted(flat.blocks)
             base = min(t for _, t in flat.edges if t not in flat.blocks)
         else:
@@ -586,7 +592,7 @@ class _OverrideMonitor:
 
     def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
         self.pending = None
-        if isinstance(action, Wait):
+        if _publishes_nothing(action):
             return
         path = _as_path(state, action)
         if path is None or not _trimmed_base(state, path[1]):

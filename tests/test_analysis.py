@@ -1,4 +1,5 @@
 
+import concurrent.futures
 import math
 import os
 
@@ -37,6 +38,7 @@ from posmine.strategies import (
     PatientWithholdOvertake,
     StockStepper,
     _creator_stream,
+    derive_seed,
     make_stepper,
 )
 
@@ -210,6 +212,21 @@ def test_liminf_is_identical_across_worker_counts():
     assert via_env.estimate == one.estimate
 
 
+def test_unseeded_liminf_draws_a_fresh_base_per_call(monkeypatch):
+    bases = []
+
+    def spy(seed, index):
+        bases.append(seed)
+        return derive_seed(seed, index)
+
+    monkeypatch.setattr(analysis, "derive_seed", spy)
+    first = mc_revenue_liminf("frontier", 0.3, rounds=10, games=2)
+    second = mc_revenue_liminf("frontier", 0.3, rounds=10, games=2)
+    assert bases[0] == bases[1] and bases[2] == bases[3]  # one base per call
+    assert bases[0] != bases[2]
+    assert first.seed is None and second.seed is None
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_the_worker_count_follows_the_job_size(monkeypatch, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -231,13 +248,13 @@ def test_liminf_rejects_a_worker_count_below_one(threads):
 def test_a_large_liminf_job_uses_the_pool_and_agrees_with_one_worker(monkeypatch):
     pools = []
 
-    class CountedPool(analysis.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     rounds = analysis._POOL_MIN_ROUNDS // 4
     pooled = mc_revenue_liminf("frontier", 0.3, rounds=rounds, games=4, seed=5)
     assert pools == [2]
@@ -250,7 +267,7 @@ def test_no_more_workers_than_games(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("one game started a process pool")
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     pt = mc_revenue_liminf("frontier", 0.3, rounds=10, games=1, seed=1, threads=3)
     assert pt.games == 1 and pt.stderr is None
 

@@ -1,9 +1,9 @@
+import concurrent.futures
 import os
 
 import pytest
 from click.testing import CliRunner
 
-from posmine import analysis
 from posmine.cli import main
 from conftest import data_path
 
@@ -89,7 +89,7 @@ def test_revenue_liminf_at_bench_size_starts_no_pool(runner, monkeypatch):
         raise AssertionError("a 4 x 3000-round job started a process pool")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     res = runner.invoke(
         main,
         [

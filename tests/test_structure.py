@@ -278,13 +278,22 @@ def test_checkpoint_born_under_a_loose_block_breaks_recurrence():
     [(PublishPath(frozenset(), GENESIS), "publish:->0"), (PublishSet(frozenset(), ()), "publishset:")],
 )
 def test_a_publish_of_no_block_is_classified(action, label):
-    # the engine applies it as a no-op; the opportunism monitor has nothing
-    # to watch, and the per-action classifiers give their usual verdicts
+    # the engine applies it as a no-op, and every classifier and monitor
+    # reads it as a Wait
     tr = run_game(Scripted([(2, action, False)]), 0.3, 3, creators=[M1, M2, M1])
     report = classify_trace(tr).as_dict()
     failed = {k: [(w.round, w.detail) for w in v.violations] for k, v in report.items() if not v.holds}
-    assert failed == {"orderly": [(2, label)], "lcm": [(2, label)], "trimmed": [(2, label)]}
-    assert fork_ownership_check(tr).holds and checkpoint_override_check(tr).holds
+    assert failed == {}, f"{label} flagged"
+    override = checkpoint_override_check(tr)
+    assert fork_ownership_check(tr).holds and override.holds and override.skipped == []
+
+
+@pytest.mark.parametrize("action", [PublishPath(frozenset(), GENESIS), PublishSet(frozenset(), ())])
+@pytest.mark.parametrize("classifier", [is_timeserving, is_orderly, is_lcm, is_trimmed])
+def test_each_classifier_answers_a_publish_of_no_block_as_a_wait(classifier, action):
+    # Miner 1 withholds block 1 under Miner 2's chain 0-2
+    st = play_rounds(initial_state(), [M1, M2])
+    assert classifier(st, action) is classifier(st, WAIT) is True
 
 
 def _failures(trace):
