@@ -15,7 +15,10 @@ dynamic-stake runs of the stock strategies are played by
 `make_stepper`), which consumes the same draws as the round engine and
 builds no block tree; the decay check reads the one-shot advantage off the
 stepper's node.  `mc_value` starts from a given block tree, so its
-`make_stepper` is always the engine.
+`make_stepper` is always the engine.  Estimators take a strategy or its
+name; a cycle or episode over its round cap raises `NonRecurrent` (from
+`strategies`).  Fixed tolerances: `crossover` to 1e-9, growth slack 0.01,
+decay threshold 0.02, ruin walks cut at -80.
 
 Importing this module loads neither numpy nor the process pool.  numpy is
 imported on the first call of `mc_walk_stats`, `mc_ruin_probability`,
@@ -35,6 +38,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .blocktree import MINER1, GameState
 from .strategies import (
     DomainError,
+    NonRecurrent,
     _check_rounds,
     _creator_stream,
     derive_seed,
@@ -78,10 +82,6 @@ __all__ = [
 
 class NoSignChange(ValueError):
     """Bisection bracket does not straddle a root."""
-
-
-class NonRecurrent(RuntimeError):
-    """A cycle or episode exceeded the round cap without settling."""
 
 
 class MajorityStake(RuntimeError):
@@ -134,18 +134,14 @@ def rev_nsm_closed(alpha: float) -> float:
     return num / den
 
 
-def crossover(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-) -> float:
-    """Bisect for the stake fraction where f(alpha) = alpha."""
+def crossover(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisect for the stake fraction where f(alpha) = alpha, to a bracket
+    narrower than 1e-9."""
     g_lo = f(lo) - lo
     g_hi = f(hi) - hi
     if not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
         raise NoSignChange(f"no strict sign change of f(a)-a on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         g_mid = f(mid) - mid
         if g_mid == 0.0:
@@ -200,29 +196,23 @@ def mc_walk_stats(
     _check_count("walks", walks)
     rng = np.random.default_rng(seed)
     pos = np.ones(walks, dtype=np.int64)
-    ups = np.zeros(walks, dtype=np.int64)
-    steps = np.zeros(walks, dtype=np.int64)
-    alive = np.arange(walks)
-    while alive.size:
-        up = rng.random(alive.size) < alpha
-        pos[alive] += np.where(up, 1, -1)
-        ups[alive] += up
-        steps[alive] += 1
-        alive = alive[pos[alive] > 0]
-    ex = float(ups.mean())
-    etau = float(steps.mean())
+    ups = steps = 0
+    while pos.size:
+        up = rng.random(pos.size) < alpha
+        ups += int(np.count_nonzero(up))
+        steps += pos.size
+        pos += np.where(up, 1, -1)
+        pos = pos[pos > 0]
+    ex = ups / walks
+    etau = steps / walks
     return ex, etau - ex, etau
 
 
 def mc_ruin_probability(
-    alpha: float,
-    lead: int,
-    walks: int = 10**6,
-    seed: Optional[int] = None,
-    floor: int = 80,
+    alpha: float, lead: int, walks: int = 10**6, seed: Optional[int] = None
 ) -> float:
-    """Empirical chance of erasing a deficit of ``lead`` (walk truncated at
-    ``-floor``, which contributes a vanishing bias)."""
+    """Empirical chance of erasing a deficit of ``lead`` (each walk is
+    truncated at -80, which contributes a vanishing bias)."""
     import numpy as np
 
     _check_alpha(alpha)
@@ -231,16 +221,13 @@ def mc_ruin_probability(
         return 1.0
     rng = np.random.default_rng(seed)
     pos = np.zeros(walks, dtype=np.int64)
-    won = np.zeros(walks, dtype=bool)
-    alive = np.arange(walks)
-    while alive.size:
-        up = rng.random(alive.size) < alpha
-        pos[alive] += np.where(up, 1, -1)
-        p = pos[alive]
-        hit = p >= lead
-        won[alive[hit]] = True
-        alive = alive[~hit & (p > -floor)]
-    return float(won.mean())
+    hits = 0
+    while pos.size:
+        pos += np.where(rng.random(pos.size) < alpha, 1, -1)
+        hit = pos >= lead
+        hits += int(np.count_nonzero(hit))
+        pos = pos[~hit & (pos > -80)]
+    return hits / walks
 
 
 # ---------------------------------------------------------------------------
@@ -334,27 +321,25 @@ def mc_revenue_renewal(
     cycle_cap: int = 10**6,
 ) -> RevenuePoint:
     """Renewal-reward estimate sum(R1)/sum(R1+R2) over settle-to-settle
-    cycles, with a delta-method standard error."""
+    cycles, with a delta-method standard error.  A cycle that reaches
+    ``cycle_cap`` rounds raises :class:`NonRecurrent` (from
+    ``iter_cycles``); any other error of the strategy propagates as is."""
     _check_alpha(alpha)
     _check_count("cycles", cycles)
-    if isinstance(strategy, str):
-        strategy = make_strategy(strategy)
+    strategy = make_strategy(strategy)
     n = 0
     sx = sy = sxx = syy = sxy = 0.0
-    try:
-        for cyc in iter_cycles(strategy, alpha, seed, cycle_cap=cycle_cap):
-            x = float(cyc.r1)
-            y = float(cyc.r1 + cyc.r2)
-            sx += x
-            sy += y
-            sxx += x * x
-            syy += y * y
-            sxy += x * y
-            n += 1
-            if n >= cycles:
-                break
-    except RuntimeError as e:
-        raise NonRecurrent(str(e)) from e
+    for cyc in iter_cycles(strategy, alpha, seed, cycle_cap=cycle_cap):
+        x = float(cyc.r1)
+        y = float(cyc.r1 + cyc.r2)
+        sx += x
+        sy += y
+        sxx += x * x
+        syy += y * y
+        sxy += x * y
+        n += 1
+        if n >= cycles:
+            break
     theta = sx / sy if sy else 0.0
     stderr = None
     if n > 1 and sy > 0:
@@ -401,8 +386,7 @@ def mc_value(
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must be in [0, 1], got {lam}")
     _check_count("episodes", episodes)
-    if isinstance(strategy, str):
-        strategy = make_strategy(strategy)
+    strategy = make_strategy(strategy)
     rand = random.Random(seed).random
     s1 = start.chain_owned(MINER1)
     s2 = start.tip_height() - s1
@@ -438,26 +422,21 @@ class GrowthReport:
 
 
 def growth_rate_check(
-    strategy,
-    alpha: float,
-    rounds: int,
-    seed: Optional[int] = None,
-    slack: float = 0.01,
+    strategy, alpha: float, rounds: int, seed: Optional[int] = None
 ) -> GrowthReport:
-    """Chain height per round must stay above (1 - alpha) - slack over the
-    second half of the run."""
+    """Chain height per round must stay above (1 - alpha) - 0.01 (the
+    report's ``bound``) over the second half of the run."""
     import numpy as np
 
     _check_alpha(alpha)
     _check_count("rounds", rounds)
-    if isinstance(strategy, str):
-        strategy = make_strategy(strategy)
+    strategy = make_strategy(strategy)
     heights = np.zeros(rounds, dtype=np.int64)
     run_totals(strategy, alpha, rounds, seed, heights_out=heights)
     series = heights / np.arange(1, rounds + 1)
     tail = series[rounds // 2 :]
     tail_min = float(tail.min()) if tail.size else 0.0
-    bound = (1 - alpha) - slack
+    bound = (1 - alpha) - 0.01
     return GrowthReport(holds=tail_min >= bound, bound=bound, tail_min=tail_min, series=series)
 
 
@@ -474,10 +453,9 @@ def potential_reward_decay_check(
     rounds: int,
     seed: Optional[int] = None,
     creators=None,
-    eps: float = 0.02,
 ) -> DecayReport:
     """One-shot publishable advantage divided by the round number must fall
-    below eps over the second half of the run.
+    below 0.02 (the report's ``eps``) over the second half of the run.
 
     The rounds are played by ``strategies.make_stepper``, whose
     ``potential_reward()`` gives the advantage after each round: read off
@@ -485,8 +463,7 @@ def potential_reward_decay_check(
     engine's state for any other."""
     _check_alpha(alpha)
     _check_count("rounds", rounds)
-    if isinstance(strategy, str):
-        strategy = make_strategy(strategy)
+    strategy = make_strategy(strategy)
     stepper = make_stepper(strategy)
     step, pot = stepper.step, stepper.potential_reward
     mines = map(MINER1.__eq__, _creator_stream(alpha, seed, creators, rounds))
@@ -497,7 +474,7 @@ def potential_reward_decay_check(
             ratio = pot() / i
             if ratio > tail_max:
                 tail_max = ratio
-    return DecayReport(holds=tail_max < eps, eps=eps, tail_max=tail_max)
+    return DecayReport(holds=tail_max < 0.02, eps=0.02, tail_max=tail_max)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +511,7 @@ def stake_dynamics(
     if coins < 1:
         raise DomainError("need at least one initial coin")
     _check_rounds(rounds)
-    if isinstance(strategy, str):
-        strategy = make_strategy(strategy)
+    strategy = make_strategy(strategy)
     step = make_stepper(strategy).step
     rand = random.Random(seed).random
     m1 = round(alpha0 * coins)

@@ -605,9 +605,10 @@ def potential_reward(state: GameState) -> int:
     return best
 
 
-def enumerate_actions(state: GameState, miner: int, *, limit: int = 15) -> Iterator[Action]:
-    """Yield Wait plus every valid publish action (small states only)."""
-    if len(state.creator) > limit:
+def enumerate_actions(state: GameState, miner: int) -> Iterator[Action]:
+    """Yield Wait plus every valid publish action (states of at most 15
+    blocks only)."""
+    if len(state.creator) > 15:
         raise ValueError(f"state too large to enumerate ({len(state.creator)} blocks)")
     yield WAIT
     own = sorted(state.unpublished(miner))
@@ -624,10 +625,11 @@ def enumerate_actions(state: GameState, miner: int, *, limit: int = 15) -> Itera
                 yield PublishSet(frozenset(chosen), tuple(zip(blocks, combo)))
 
 
-def potential_reward_exhaustive(state: GameState, *, limit: int = 15) -> int:
-    """Brute-force twin of :func:`potential_reward`; also the test oracle."""
+def potential_reward_exhaustive(state: GameState) -> int:
+    """Brute-force twin of :func:`potential_reward`; also the test oracle
+    (states of at most 15 blocks, as :func:`enumerate_actions`)."""
     best = 0
-    for action in enumerate_actions(state, MINER1, limit=limit):
+    for action in enumerate_actions(state, MINER1):
         after = apply_action(state, MINER1, action)
         best = max(best, abs(reward(state, after, MINER1)))
     return best
@@ -661,7 +663,10 @@ def parse_statefile(text: str) -> GameState:
         block <id> creator <0|1|2> parent <id|-> published <round|->
 
     Blocks published in the same round are ordered by ascending label when
-    the state is rebuilt (the file does not carry intra-round order).
+    the state is rebuilt (the file does not carry intra-round order).  A
+    state no game can reach is rejected: a negative label, round or offset,
+    genesis published in a round other than 0, or a block published before
+    its own round, after ``round``, or before its parent.
     """
     lines = text.splitlines()
     if not lines:
@@ -675,6 +680,8 @@ def parse_statefile(text: str) -> GameState:
         rnd, offset = int(head[3]), int(head[5])
     except ValueError:
         raise StatefileError(1, "round and offset must be integers") from None
+    if rnd < 0 or offset < 0:
+        raise StatefileError(1, "round and offset must be >= 0")
 
     s = GameState.__new__(GameState)
     s.parent = {}
@@ -697,6 +704,8 @@ def parse_statefile(text: str) -> GameState:
             who = int(parts[3])
         except ValueError:
             raise StatefileError(i, "block and creator must be integers") from None
+        if b < 0:
+            raise StatefileError(i, f"block label must be >= 0, got {b}")
         if b in s.creator:
             raise StatefileError(i, f"block {b} defined twice")
         if who not in (0, 1, 2):
@@ -711,25 +720,29 @@ def parse_statefile(text: str) -> GameState:
         if b == GENESIS:
             if par is not None:
                 raise StatefileError(i, "genesis cannot have a parent")
-            pub = 0
+            if pub != 0:
+                raise StatefileError(i, "genesis must be published in round 0")
         elif (par is None) != (pub is None):
             raise StatefileError(i, "parent and published must both be set or both be '-'")
+        elif pub is not None and not b <= pub <= rnd:
+            raise StatefileError(i, f"block {b} published in round {pub}, outside {b}..{rnd}")
         s.creator[b] = who
-        if b == GENESIS:
-            pub_round[b] = 0
-        elif par is None:
+        if pub is None:
             s.unpublished(who).add(b)
-        else:
+            continue
+        if par is not None:
             if par >= b:
                 raise StatefileError(i, f"parent {par} must be earlier than block {b}")
             s.parent[b] = par
-            pub_round[b] = pub
+        pub_round[b] = pub
 
     if GENESIS not in s.creator:
         raise StatefileError(1, "statefile has no genesis block")
     for b, par in sorted(s.parent.items()):
         if par != GENESIS and par not in s.parent:
             raise StatefileError(1, f"block {b} points at unpublished or unknown block {par}")
+        if pub_round[b] < pub_round[par]:
+            raise StatefileError(1, f"block {b} was published before its parent {par}")
     if any(b > s.round for b in s.creator):
         raise StatefileError(1, "a block label exceeds the round counter")
 

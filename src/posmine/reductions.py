@@ -46,7 +46,6 @@ from .blocktree import (
     GameState,
     HalfState,
     PublishPath,
-    Wait,
     attach_action,
     begin_round,
     capitulate,
@@ -55,7 +54,7 @@ from .blocktree import (
     successors,
 )
 from .strategies import StrategyDecision, UnreachableState, _creator_stream
-from .structure import _as_path, checkpoints, is_timeserving, is_trimmed
+from .structure import _as_path, _publishes_nothing, checkpoints, is_timeserving, is_trimmed
 
 __all__ = [
     "CouplingBroken",
@@ -182,7 +181,7 @@ class _ShadowWrapper:
         shadow if the inner strategy settles."""
         dec = self.inner.decide(self._advance(half))
         settle = dec.capitulate_to_b0
-        if not isinstance(dec.action, Wait):
+        if not _publishes_nothing(dec.action):
             blocks, u = self._apply_inner(dec.action)
             dec = StrategyDecision(self._translate(half, blocks, u), settle)
             self._paired = None
@@ -190,7 +189,7 @@ class _ShadowWrapper:
             self.shadow = capitulate(self.shadow, self.shadow.tip_height())
             self.sigma.prune(self.shadow.knows)
             self._paired = None
-        return dec  # a Wait passes through as the inner strategy decided it
+        return dec  # a move of no block passes through as the inner strategy decided it
 
     def _advance(self, half: HalfState) -> HalfState:
         """Play the round's draw on the shadow and pair the two unpublished
@@ -414,15 +413,15 @@ class DeferredPublicationPlan:
             return self.fired
         return None
 
-    def execute(self, alpha: float, seed: Optional[int] = None,
-                max_rounds: int = 10**7) -> PlanOutcome:
-        """Drive the plan with fresh creator draws until it fires."""
+    def execute(self, alpha: float, seed: Optional[int] = None) -> PlanOutcome:
+        """Drive the plan with fresh creator draws until it fires, for at
+        most 10**7 rounds in all."""
         creators = _creator_stream(alpha, seed)
-        while self.ticks < max_rounds:
+        while self.ticks < 10**7:
             act = self.tick(next(creators))
             if act is not None:
                 return PlanOutcome(act, self.ticks, len(self.interim))
-        raise RuntimeError(f"plan did not fire within {max_rounds} rounds")
+        raise RuntimeError(f"plan did not fire within {10**7} rounds")
 
 
 def checkpoint_preserve_case1(state: GameState, action: Action) -> DeferredPublicationPlan:

@@ -55,6 +55,7 @@ from .blocktree import (
 __all__ = [
     "StrategyDecision",
     "DomainError",
+    "NonRecurrent",
     "UnreachableState",
     "ScriptError",
     "ScriptExhaustedMismatch",
@@ -98,6 +99,10 @@ class DomainError(ValueError):
 def _check_rounds(rounds: int) -> None:
     if rounds < 0:
         raise DomainError(f"rounds must be >= 0, got {rounds}")
+
+
+class NonRecurrent(RuntimeError):
+    """A cycle or episode exceeded the round cap without settling."""
 
 
 class UnreachableState(BlockTreeError):
@@ -275,8 +280,11 @@ def parse_script(text: str) -> list[tuple[int, Action, bool]]:
     return moves
 
 
-def make_strategy(spec: str):
-    """Build a strategy from its name: frontier | sm | nsm | scripted:@file."""
+def make_strategy(spec):
+    """Build a strategy from its name: frontier | sm | nsm | scripted:@file.
+    A strategy object is returned unchanged."""
+    if not isinstance(spec, str):
+        return spec
     if spec == "frontier":
         return Frontier()
     if spec == "sm":
@@ -715,7 +723,7 @@ def iter_cycles(
     The rounds are played by :func:`make_stepper`: a :class:`StockStepper`
     for the exact stock types, the :class:`Engine` for any other strategy.
     Both draw one ``random.Random(seed).random()`` a round and yield the
-    same cycles.  Raises ``RuntimeError`` as soon as a cycle reaches
+    same cycles.  Raises :class:`NonRecurrent` as soon as a cycle reaches
     ``cycle_cap`` rounds without settling.
     """
     step = make_stepper(strategy).step
@@ -728,4 +736,4 @@ def iter_cycles(
             yield CycleStats(settled[0], settled[1], rounds)
             rounds = 0
         elif rounds >= cycle_cap:
-            raise RuntimeError(f"cycle exceeded {cycle_cap} rounds without settling")
+            raise NonRecurrent(f"cycle exceeded {cycle_cap} rounds without settling")

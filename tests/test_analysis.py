@@ -196,6 +196,35 @@ def test_renewal_raises_when_cycles_never_close():
         mc_revenue_renewal(Scripted([]), 0.3, cycles=5, seed=1, cycle_cap=50)
 
 
+class _FaultyFrontier(Frontier):
+    """Frontier whose every move is a program fault, played on the Engine."""
+
+    def decide(self, half):
+        raise RuntimeError("strategy bug")
+
+
+def test_renewal_lets_a_strategy_fault_through():
+    # only a cycle over its cap is NonRecurrent; a fault keeps its own type
+    with pytest.raises(RuntimeError, match="^strategy bug$") as err:
+        mc_revenue_renewal(_FaultyFrontier(), 0.3, cycles=5, seed=1)
+    assert type(err.value) is RuntimeError
+
+
+def test_non_recurrent_is_the_strategies_error():
+    from posmine import strategies
+
+    assert analysis.NonRecurrent is strategies.NonRecurrent
+    with pytest.raises(strategies.NonRecurrent, match="^cycle exceeded 50 rounds without settling$"):
+        next(strategies.iter_cycles(Scripted([]), 0.3, seed=1, cycle_cap=50))
+
+
+def test_make_strategy_passes_a_strategy_through():
+    from posmine.strategies import make_strategy
+
+    nsm = PatientWithholdOvertake()
+    assert make_strategy(nsm) is nsm
+
+
 def test_liminf_estimate_and_fields():
     pt = mc_revenue_liminf("frontier", 0.3, rounds=800, games=6, seed=2, threads=1)
     assert pt.method == "mc_liminf"

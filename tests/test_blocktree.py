@@ -32,7 +32,8 @@ from posmine.blocktree import (
     to_dot,
     validate_action,
 )
-from conftest import play_rounds
+from posmine.strategies import Engine, _creator_stream, make_strategy
+from conftest import LadderRacer, TopHeavyRacer, play_rounds
 
 
 def test_initial_state():
@@ -206,6 +207,41 @@ def test_statefile_errors_carry_line_numbers():
     assert "line 2" in str(err.value)
     with pytest.raises(StatefileError):
         parse_statefile("not-a-header\n")
+
+
+def test_statefile_rejects_states_no_game_reaches():
+    head = "posmine-state v1 round 3 offset 0\nblock 0 creator 0 parent - published 0\n"
+    for body, line, message in [
+        ("block 1 creator 1 parent 0 published 5\nblock 2 creator 2 parent 1 published 2\n",
+         3, "block 1 published in round 5, outside 1..3"),
+        ("block 2 creator 2 parent 0 published 1\n", 3, "block 2 published in round 1, outside 2..3"),
+        ("block 1 creator 1 parent 0 published 3\nblock 2 creator 2 parent 1 published 2\n",
+         1, "block 2 was published before its parent 1"),
+        ("block -1 creator 1 parent - published -\n", 3, "block label must be >= 0, got -1"),
+    ]:
+        with pytest.raises(StatefileError, match=f"^line {line}: {message}$"):
+            parse_statefile(head + body)
+    for text in [
+        "posmine-state v1 round -1 offset 0\nblock 0 creator 0 parent - published 0\n",
+        "posmine-state v1 round 3 offset -2\nblock 0 creator 0 parent - published 0\n",
+        "posmine-state v1 round 3 offset 0\nblock 0 creator 0 parent - published 1\n",
+        "posmine-state v1 round 3 offset 0\nblock 0 creator 0 parent - published -\n",
+    ]:
+        with pytest.raises(StatefileError):
+            parse_statefile(text)
+
+
+@pytest.mark.parametrize(
+    "strategy", ["frontier", "sm", "nsm", LadderRacer(), TopHeavyRacer()],
+    ids=["frontier", "sm", "nsm", "ladder", "topheavy"],
+)
+def test_every_played_state_is_a_valid_statefile(strategy):
+    # the parser's reachability rules hold on every state the engine plays
+    for seed in range(3):
+        eng = Engine(make_strategy(strategy))
+        for _, creator in zip(range(150), _creator_stream(0.42, seed)):
+            assert canonical_equal(eng.state, parse_statefile(format_statefile(eng.state)))
+            eng.play(creator)
 
 
 def test_to_dot_mentions_every_block(example_fig_state):

@@ -34,6 +34,23 @@ def write_bytes(tmp_path, name, data):
     return str(path)
 
 
+def bad_state(blocks, header="posmine-state v1 round 3 offset 0"):
+    """A `checkpoints --state` call on a statefile of ``header`` and ``blocks``."""
+    text = header + "\n" + "".join(line + "\n" for line in blocks)
+    return lambda tmp: (["checkpoints", "--state", write(tmp, "bad.state", text)], {})
+
+
+def bad_script(text):
+    """A `simulate` call on a script file holding ``text``."""
+    return lambda tmp: (
+        ["simulate", "--strategy", "scripted:@" + write(tmp, "bad.script", text),
+         "--alpha", "0.3", "--rounds", "5"],
+        {},
+    )
+
+
+G0 = "block 0 creator 0 parent - published 0"
+
 BAD_INPUTS = {
     "statefile-parent-not-int": lambda tmp: (
         ["checkpoints", "--state", write(
@@ -200,6 +217,37 @@ BAD_INPUTS = {
         ["simulate", "--strategy", "sm", "--alpha", "0.3", "--rounds", "5", "--bogus", "1"], {}
     ),
     "unknown-command": lambda tmp: (["bogus"], {}),
+    # every StatefileError of the parser, one row each
+    "statefile-empty": lambda tmp: (["checkpoints", "--state", write(tmp, "empty.state", "")], {}),
+    "statefile-unsupported-version": bad_state([G0], "posmine-state v2 round 3 offset 0"),
+    "statefile-block-line-malformed": bad_state([G0, "block 1 creator 2"]),
+    "statefile-block-defined-twice": bad_state(
+        [G0, "block 1 creator 2 parent 0 published 1", "block 1 creator 2 parent 0 published 1"]
+    ),
+    "statefile-creator-out-of-range": bad_state([G0, "block 1 creator 3 parent - published -"]),
+    "statefile-creator-0-off-genesis": bad_state([G0, "block 1 creator 0 parent - published -"]),
+    "statefile-genesis-with-parent": bad_state(["block 0 creator 0 parent 0 published 0"]),
+    "statefile-parent-without-round": bad_state([G0, "block 1 creator 2 parent 0 published -"]),
+    "statefile-parent-not-earlier": bad_state([G0, "block 1 creator 2 parent 2 published 1"]),
+    "statefile-no-genesis": bad_state(["block 1 creator 2 parent - published -"]),
+    "statefile-parent-unpublished": bad_state(
+        [G0, "block 1 creator 1 parent - published -", "block 2 creator 2 parent 1 published 2"]
+    ),
+    "statefile-label-above-round": bad_state([G0, "block 5 creator 1 parent - published -"]),
+    # states no game can reach
+    "statefile-published-after-round": bad_state(
+        [G0, "block 1 creator 1 parent 0 published 5", "block 2 creator 2 parent 1 published 2"]
+    ),
+    "statefile-published-before-label": bad_state([G0, "block 2 creator 2 parent 0 published 1"]),
+    "statefile-published-before-parent": bad_state(
+        [G0, "block 1 creator 1 parent 0 published 3", "block 2 creator 2 parent 1 published 2"]
+    ),
+    "statefile-negative-label": bad_state([G0, "block -1 creator 1 parent - published -"]),
+    "statefile-negative-round": bad_state([G0], "posmine-state v1 round -1 offset 0"),
+    "statefile-negative-offset": bad_state([G0], "posmine-state v1 round 3 offset -1"),
+    "statefile-genesis-published-late": bad_state(["block 0 creator 0 parent - published 2"]),
+    "script-publish-not-integers": bad_script("2 publish 1,x -> 0\n"),
+    "script-unknown-move": bad_script("2 jump\n"),
 }
 
 

@@ -116,6 +116,26 @@ def test_wrapper_only_attaches_to_a_fresh_game(race_state):
         orderly_reduce(Frontier()).attach(race_state)
 
 
+# An inner move of no block: once at round 2 of three rounds, and once before a
+# settling three-block publish (creators, the script after the move).
+EMPTY_MOVE_GAMES = [
+    ([1, 2, 1], []),
+    ([1, 1, 2, 1, 2], [(4, PublishPath(frozenset({1, 2, 4}), GENESIS), True)]),
+]
+
+
+@pytest.mark.parametrize("creators, rest", EMPTY_MOVE_GAMES)
+@pytest.mark.parametrize("wrap", [orderly_reduce, lambda s: lcm_reduce(s, 5)], ids=["orderly", "lcm"])
+def test_an_inner_publish_of_no_block_plays_as_a_wait(wrap, creators, rest):
+    def play(move):
+        script = Scripted([(2, move, False), *rest])
+        return run_game(wrap(script), 0.3, len(creators), creators=creators)
+
+    want = play(WAIT)
+    got = play(PublishPath(frozenset(), GENESIS))
+    assert (got.heights, got.r1) == (want.heights, want.r1)
+
+
 # --- lcm reductions ----------------------------------------------------------------
 
 
