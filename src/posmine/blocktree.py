@@ -691,6 +691,7 @@ def parse_statefile(text: str) -> GameState:
     s.round = rnd
     s.offset = offset
     pub_round: dict[int, int] = {}
+    line_of: dict[int, int] = {}  # block -> its line, for the checks after the loop
 
     for i, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -727,6 +728,7 @@ def parse_statefile(text: str) -> GameState:
         elif pub is not None and not b <= pub <= rnd:
             raise StatefileError(i, f"block {b} published in round {pub}, outside {b}..{rnd}")
         s.creator[b] = who
+        line_of[b] = i
         if pub is None:
             s.unpublished(who).add(b)
             continue
@@ -740,11 +742,12 @@ def parse_statefile(text: str) -> GameState:
         raise StatefileError(1, "statefile has no genesis block")
     for b, par in sorted(s.parent.items()):
         if par != GENESIS and par not in s.parent:
-            raise StatefileError(1, f"block {b} points at unpublished or unknown block {par}")
+            raise StatefileError(line_of[b], f"block {b} points at unpublished or unknown block {par}")
         if pub_round[b] < pub_round[par]:
-            raise StatefileError(1, f"block {b} was published before its parent {par}")
-    if any(b > s.round for b in s.creator):
-        raise StatefileError(1, "a block label exceeds the round counter")
+            raise StatefileError(line_of[b], f"block {b} was published before its parent {par}")
+    above = [b for b in s.creator if b > s.round]
+    if above:
+        raise StatefileError(line_of[min(above)], "a block label exceeds the round counter")
 
     order = sorted(pub_round, key=lambda b: (pub_round[b], b))
     s._pub_seq = {b: (pub_round[b], rank) for rank, b in enumerate(order)}

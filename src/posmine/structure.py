@@ -12,17 +12,20 @@ checkpoint-recurrent) that need to see how the game continued.
 
 The three trace checks (:func:`classify_trace`, :func:`fork_ownership_check`,
 :func:`checkpoint_override_check`) share one replay per trace: the first of
-them called on a trace replays it once with the observers of all three and
+them called on a trace replays it once with one observer for all three and
 keeps the three reports on the trace, next to a snapshot of the lists the
 replay read.  A later call reuses them while the trace still matches the
 snapshot, replays again when it does not, and always returns a fresh copy.
 
-The replay is kept cheap per round.  A :class:`PublishPath` is read as the
-path it is, not desugared (the classifiers, the lift and the reductions
-all take it through ``_as_path``, and ``is_timeserving`` compares its top
-height with the tip's); the observers that need checkpoints compute them
-at most once per position of the replay; and with nothing unpublished
-``checkpoints`` returns the chain as it is.
+The replay is kept cheap per round.  Its one observer hooks each round once
+per hook and reads each Miner-1 publish once for every check: its label,
+its path (a :class:`PublishPath` is read as the path it is, not desugared),
+whether its base is on the chain and whether it is trimmed.  It keeps one
+checkpoint list: the same list object while nothing is published, stepped
+in O(withheld blocks) when the one new publication is a block on the old
+tip, and recomputed otherwise (with nothing unpublished ``checkpoints``
+returns the chain as it is).  Its opportunistic watch list is rescanned
+only on rounds that settle or publish a Miner-1 block.
 """
 
 from __future__ import annotations
@@ -430,250 +433,230 @@ def replay_trace(trace: Trace, observers: list) -> GameState:
     return eng.state
 
 
-class _ActionClassifierMonitor:
-    """Checks the four per-action properties on every Miner-1 action."""
-
-    def __init__(self, report: PropertyReport):
-        self.report = report
-
-    def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
-        if _publishes_nothing(action):
-            return
-        label = format_action(action)
-        if not is_timeserving(state, action):
-            self.report.timeserving.hit(state.round, label)
-        if not is_orderly(state, action):
-            self.report.orderly.hit(state.round, label)
-        if not is_lcm(state, action):
-            self.report.lcm.hit(state.round, label)
-        if not is_trimmed(state, action):
-            self.report.trimmed.hit(state.round, label)
+_CHECKS = ("props", "fork", "override")
 
 
-class _OpportunisticMonitor:
-    """Retrospective check: publishes whose top block ends up final must
-    have included every unpublished block above the base.
+class _Audit:
+    """The observer of the three trace checks: it fills ``props`` (the six
+    properties of :func:`classify_trace`), ``fork`` and ``override`` (the
+    two monitors).  A report not named in ``checks`` stays None, and its
+    work is not done.
 
-    Finality is approximated from the trace: the top block stayed on the
-    longest chain until a capitulation locked it in.  Blocks still live
-    when the trace ends are treated as not-yet-final (verdict is
-    empirical either way).
+    A Miner-1 publish is read once for all of them: its label, its path,
+    whether its base is on the chain and whether it is trimmed.  Each
+    position's checkpoints come from one cache (:meth:`_checkpoints`).
     """
 
-    def __init__(self, verdict: PropertyVerdict):
-        self.verdict = verdict
-        self.watch: list[tuple[int, int, bool, str]] = []  # (round, top, was_full, label)
+    def __init__(self, checks=_CHECKS):
+        self.props = PropertyReport() if "props" in checks else None
+        self.fork = MonitorReport() if "fork" in checks else None
+        self.override = MonitorReport() if "override" in checks else None
+        self.acted = False  # Miner 1 published in this round
+        # opportunistic: (round, top, was_full, label) of publishes not yet final
+        self.watch: list[tuple[int, int, bool, str]] = []
+        self.prev: list[int] = [GENESIS]  # checkpoints at the last round end or settle
+        self.by_height: dict[int, list[int]] = {}  # published blocks of the live state
+        self.pending: Optional[tuple[int, str]] = None  # a checkpoint-displacing trimmed fork
+        self.cp_key: Optional[tuple] = None  # (state, publish count, tip) of ``cps``
+        self.cps: list[int] = []
+
+    def _checkpoints(self, state: GameState) -> list[int]:
+        """``checkpoints(state)``, as the same list object until something is
+        published.  When the one new publication is a block on the old tip,
+        the list is stepped: the old chain stands, and every block created
+        or published since is labelled above its tip, so the old checkpoints
+        stand and the new tip joins them if its window from the last one
+        counts enough.  Any other change (a fork, several blocks, a settle's
+        new state) recomputes the list."""
+        n, tip = len(state._pub_seq), state._tip
+        key = self.cp_key
+        if key is not None and key[0] is state:
+            if key[1] == n:
+                return self.cps
+            if key[1] + 1 == n and state.parent.get(tip) == key[2]:
+                c = self.cps[-1]
+                slack = state._chain_m1[tip] - state._chain_m1[c]  # Miner 1's chain blocks in (c, tip]
+                for u in state.unpublished_1:
+                    if c < u <= tip:
+                        slack -= 1
+                        if slack < 0:
+                            break
+                else:
+                    self.cps = self.cps + [tip]
+                self.cp_key = (state, n, tip)
+                return self.cps
+        self.cp_key, self.cps = (state, n, tip), checkpoints(state)
+        return self.cps
 
     def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
-        if _publishes_nothing(action):
+        self.pending = None
+        self.acted = not _publishes_nothing(action)
+        if not self.acted:
             return
+        label = format_action(action)
         path = _as_path(state, action)
+        lcm = trimmed = False
+        if path is not None:
+            # one walk down from the tip: is the base on the chain, and
+            # whose is the chain block above it?
+            base, heights, parent = path[1], state._heights, state.parent
+            h, v, above = heights[base], state._tip, None
+            while heights[v] > h:
+                above, v = v, parent[v]
+            lcm = v == base
+            trimmed = lcm and (above is None or state.creator[above] == MINER2)
+        if self.props is not None:
+            self._classify(state, action, path, lcm, trimmed, label)
+        if self.override is not None:
+            if not trimmed:
+                self.override.skipped.append(Witness(state.round, label))
+            # the base and the checkpoints are chain blocks, and labels grow up
+            # the chain: a checkpoint sits at or above the base iff the last does
+            elif self._checkpoints(state)[-1] >= base:
+                self.pending = (state.round, label)
+
+    def _classify(self, state: GameState, action: Action, path, lcm: bool, trimmed: bool, label: str) -> None:
+        """The four per-action properties of a Miner-1 publish, and its
+        opportunistic watch entry."""
+        report, rnd = self.props, state.round
         if path is None:
             flat = desugar(state, MINER1, action)
             blocks = sorted(flat.blocks)
             base = min(t for _, t in flat.edges if t not in flat.blocks)
         else:
             blocks, base = path
-        pool = {b for b in (state.unpublished_1 | state.unpublished_2) if b > base}
-        was_full = set(blocks) == pool
-        self.watch.append((state.round, max(blocks), was_full, format_action(action)))
+        # a valid Miner-1 publish holds only Miner 1's withheld blocks above
+        # its base, so it holds all of them iff it is as long as this pool
+        pool = sorted(b for b in state.unpublished_1 if b > base)
+        if not is_timeserving(state, action):
+            report.timeserving.hit(rnd, label)
+        if path is None or blocks != pool[: len(blocks)]:
+            report.orderly.hit(rnd, label)
+        if not lcm:
+            report.lcm.hit(rnd, label)
+        if not trimmed:
+            report.trimmed.hit(rnd, label)
+        was_full = len(blocks) == len(pool) and not any(u > base for u in state.unpublished_2)
+        self.watch.append((rnd, blocks[-1], was_full, label))
 
     def round_end(self, state: GameState, new_blocks, capped: bool, round_no: int) -> None:
-        if not self.watch:
-            return
-        keep = []
-        for entry in self.watch:
-            rnd, top, was_full, label = entry
-            if not (state.is_published(top) and on_chain(state, top)):
-                continue  # knocked off the chain: never final, nothing to check
-            if capped:
-                if not was_full:  # final now: the full-set condition applies
-                    self.verdict.hit(rnd, label)
-            else:
-                keep.append(entry)
-        self.watch = keep
-
-
-class _RoundCheckpoints:
-    """``checkpoints(state)`` at most once per position of a replay: the
-    replay changes the tree or the pools only by starting a round,
-    publishing or settling (a new state), so the state, its round and its
-    publish count name the position."""
-
-    __slots__ = ("key", "cps")
-
-    def __init__(self) -> None:
-        self.key: Optional[tuple] = None
-        self.cps: list[int] = []
-
-    def __call__(self, state: GameState) -> list[int]:
-        key = (state, state.round, len(state._pub_seq))
-        if key != self.key:
-            self.key, self.cps = key, checkpoints(state)
-        return self.cps
-
-
-class _CheckpointRecurrentMonitor:
-    """Within each settled epoch: once a checkpoint appears it never moves,
-    and at the moment it appears nothing unpublished sits above it."""
-
-    def __init__(self, verdict: PropertyVerdict, cps: _RoundCheckpoints):
-        self.verdict = verdict
-        self.cps = cps
-        self.prev: list[int] = [GENESIS]
-
-    def round_end(self, state: GameState, new_blocks, capped: bool, round_no: int) -> None:
-        cps = self.cps(state)
-        if cps[: len(self.prev)] != self.prev:
-            self.verdict.hit(round_no, f"checkpoints moved: {self.prev} -> {cps}")
-        elif len(cps) > len(self.prev):
-            first_new = cps[len(self.prev)]
-            loose = [u for u in state.unpublished_1 | state.unpublished_2 if u > first_new]
-            if loose:
-                self.verdict.hit(
-                    round_no, f"unpublished {sorted(loose)} above new checkpoint {first_new}"
-                )
-        self.prev = cps  # checkpoint lists are never changed once made
-
-    def capitulated(self, state: GameState) -> None:
-        self.prev = self.cps(state)
-
-
-class _ForkOwnershipMonitor:
-    """When two published blocks share a height, the chain-side blocks
-    between their last common ancestor and the chain block must all be
-    Miner 1's."""
-
-    def __init__(self, report: MonitorReport):
-        self.report = report
-        self.by_height: dict[int, list[int]] = {}
-
-    def round_end(self, state: GameState, new_blocks, capped: bool, round_no: int) -> None:
-        for b in new_blocks:
-            h = state._heights[b]
-            peers = self.by_height.setdefault(h, [])
-            for other in peers:
-                self._check_pair(state, b, other, round_no)
-            peers.append(b)
+        props = self.props
+        if props is not None:
+            # Opportunistic: a publish whose top block stays on the chain until
+            # a settle locks it in must have held every withheld block above
+            # its base.  Blocks still live when the trace ends count as not
+            # final.  Only a settle or a Miner-1 publish can end a watch: a
+            # Miner-2 block on the tip knocks nothing off the chain.
+            if self.watch and (capped or self.acted):
+                keep = []
+                for entry in self.watch:
+                    if not (state.is_published(entry[1]) and on_chain(state, entry[1])):
+                        continue  # knocked off the chain: never final, nothing to check
+                    if not capped:
+                        keep.append(entry)
+                    elif not entry[2]:  # final now: the full-set condition applies
+                        props.opportunistic.hit(entry[0], entry[3])
+                self.watch = keep
+            # Checkpoint-recurrent: within a settled epoch a checkpoint never
+            # moves once it appears, and nothing withheld sits above it then.
+            cps, prev = self._checkpoints(state), self.prev
+            if cps is not prev:
+                if cps[: len(prev)] != prev:
+                    props.checkpoint_recurrent.hit(round_no, f"checkpoints moved: {prev} -> {cps}")
+                elif len(cps) > len(prev):
+                    first_new = cps[len(prev)]
+                    loose = [u for u in state.unpublished_1 | state.unpublished_2 if u > first_new]
+                    if loose:
+                        props.checkpoint_recurrent.hit(
+                            round_no, f"unpublished {sorted(loose)} above new checkpoint {first_new}"
+                        )
+                self.prev = cps  # checkpoint lists are never changed once made
+        if self.fork is not None:
+            by_height = self.by_height
+            for b in new_blocks:
+                peers = by_height.get(state._heights[b])
+                if peers is None:
+                    by_height[state._heights[b]] = [b]
+                    continue
+                for other in peers:
+                    self._check_pair(state, b, other, round_no)
+                peers.append(b)
+        if self.pending is not None:
+            # a trimmed fork that displaced a checkpoint must land one at the
+            # tip, the top chain block
+            rnd, label = self.pending
+            self.pending = None
+            self.override.checked += 1
+            if self._checkpoints(state)[-1] != state._tip:
+                self.override.hit(rnd, label)
 
     def _check_pair(self, state: GameState, b: int, other: int, round_no: int) -> None:
-        pair = (b, other)
-        chain_side = [q for q in pair if on_chain(state, q)]
-        if not chain_side:
+        """Fork ownership: of two published blocks at one height, the
+        chain-side blocks down to their common ancestor must be Miner 1's."""
+        if on_chain(state, b):  # at one height, at most one of them is
+            q, tilde = b, other
+        elif on_chain(state, other):
+            q, tilde = other, b
+        else:
             return
-        self.report.checked += 1
-        q = chain_side[0]
-        tilde = pair[1] if q == pair[0] else pair[0]
+        self.fork.checked += 1
         # the two share a height, so stepping both down together meets at
         # their common ancestor; the chain side must be Miner 1's until then
         parent, creator = state.parent, state.creator
         v, y = q, tilde
         while v != y:
             if creator[v] != MINER1:
-                self.report.hit(round_no, f"blocks {q} and {tilde} at equal height, "
-                                          f"but {v} on the chain side is Miner 2's")
+                self.fork.hit(round_no, f"blocks {q} and {tilde} at equal height, "
+                                        f"but {v} on the chain side is Miner 2's")
                 return
             v, y = parent[v], parent[y]
 
     def capitulated(self, state: GameState) -> None:
-        self.by_height = {}
-        for b in state.parent:
-            self.by_height.setdefault(state._heights[b], []).append(b)
+        if self.props is not None:
+            self.prev = self._checkpoints(state)
+        if self.fork is not None:
+            self.by_height = {}
+            for b in state.parent:
+                self.by_height.setdefault(state._heights[b], []).append(b)
 
 
-class _OverrideMonitor:
-    """Trimmed forks that displace a checkpoint must land a new checkpoint
-    at the tip."""
+def _checked(trace: Trace, check: str):
+    """A fresh copy of the ``check`` report (one of ``_CHECKS``) from the
+    trace's shared replay.
 
-    def __init__(self, report: MonitorReport, cps: _RoundCheckpoints):
-        self.report = report
-        self.cps = cps
-        self.pending: Optional[tuple[int, str]] = None
-
-    def half(self, state: GameState, creator: int, block: int, action: Action) -> None:
-        self.pending = None
-        if _publishes_nothing(action):
-            return
-        path = _as_path(state, action)
-        if path is None or not _trimmed_base(state, path[1]):
-            self.report.skipped.append(Witness(state.round, format_action(action)))
-            return
-        # the base and the checkpoints are chain blocks, and labels grow up
-        # the chain: a checkpoint sits at or above the base iff the last does
-        if self.cps(state)[-1] >= path[1]:
-            self.pending = (state.round, format_action(action))
-
-    def round_end(self, state: GameState, new_blocks, capped: bool, round_no: int) -> None:
-        if self.pending is None:
-            return
-        rnd, label = self.pending
-        self.pending = None
-        self.report.checked += 1
-        if self.cps(state)[-1] != state._tip:  # the tip is the top chain block
-            self.report.hit(rnd, label)
-
-
-def _classifier_run(cps: Optional[_RoundCheckpoints] = None) -> tuple[PropertyReport, list]:
-    report = PropertyReport()
-    return report, [
-        _ActionClassifierMonitor(report),
-        _OpportunisticMonitor(report.opportunistic),
-        _CheckpointRecurrentMonitor(report.checkpoint_recurrent, cps or _RoundCheckpoints()),
-    ]
-
-
-def _fork_ownership_run(cps: Optional[_RoundCheckpoints] = None) -> tuple[MonitorReport, list]:
-    report = MonitorReport()
-    return report, [_ForkOwnershipMonitor(report)]
-
-
-def _override_run(cps: Optional[_RoundCheckpoints] = None) -> tuple[MonitorReport, list]:
-    report = MonitorReport()
-    return report, [_OverrideMonitor(report, cps or _RoundCheckpoints())]
-
-
-_RUNS = (_classifier_run, _fork_ownership_run, _override_run)
-
-
-def _checked(trace: Trace, run):
-    """A fresh copy of ``run``'s report from the trace's shared replay.
-
-    The shared replay carries every run's observers and is stored on the
-    trace with a snapshot of ``creators``, ``m1_actions``, ``cap_flags``
-    and ``heights``; it is redone when any of them no longer matches.  If
-    it raises, ``run``'s observers replay alone and that outcome stands,
-    so an error is the one this check raises by itself.
+    The shared replay runs one :class:`_Audit` for all three reports and is
+    stored on the trace with a snapshot of ``creators``, ``m1_actions``,
+    ``cap_flags`` and ``heights``; it is redone when any of them no longer
+    matches.  If it raises, an :class:`_Audit` of ``check`` alone replays the
+    trace and that outcome stands, so an error is the one this check raises
+    by itself.
     """
     lists = (trace.creators, trace.m1_actions, trace.cap_flags, trace.heights)
     memo = trace._checks
     if memo is None or memo[0] != lists:
-        cps = _RoundCheckpoints()  # the shared replay computes each position's checkpoints once
-        runs = [r(cps) for r in _RUNS]
+        audit = _Audit()
         try:
-            replay_trace(trace, [obs for _, observers in runs for obs in observers])
+            replay_trace(trace, [audit])
         except Exception:  # whatever broke, this check's own replay decides
-            report, observers = run()
-            replay_trace(trace, observers)
-            return report
-        memo = trace._checks = (
-            tuple(map(list, lists)),
-            {r: report for r, (report, _) in zip(_RUNS, runs)},
-        )
-    return copy.deepcopy(memo[1][run])
+            audit = _Audit((check,))
+            replay_trace(trace, [audit])
+            return getattr(audit, check)
+        memo = trace._checks = (tuple(map(list, lists)), {c: getattr(audit, c) for c in _CHECKS})
+    return copy.deepcopy(memo[1][check])
 
 
 def classify_trace(trace: Trace) -> PropertyReport:
     """Evaluate all six structural properties on a recorded game.
 
     Served by the trace's shared replay (see the module docstring)."""
-    return _checked(trace, _classifier_run)
+    return _checked(trace, "props")
 
 
 def fork_ownership_check(trace: Trace) -> MonitorReport:
     """Assert chain-side fork ownership at every equal-height block pair.
 
     Served by the trace's shared replay (see the module docstring)."""
-    return _checked(trace, _fork_ownership_run)
+    return _checked(trace, "fork")
 
 
 def checkpoint_override_check(trace: Trace) -> MonitorReport:
@@ -681,4 +664,4 @@ def checkpoint_override_check(trace: Trace) -> MonitorReport:
     checkpoint at the new tip; non-trimmed publishes are reported skipped.
 
     Served by the trace's shared replay (see the module docstring)."""
-    return _checked(trace, _override_run)
+    return _checked(trace, "override")

@@ -216,7 +216,7 @@ def test_statefile_rejects_states_no_game_reaches():
          3, "block 1 published in round 5, outside 1..3"),
         ("block 2 creator 2 parent 0 published 1\n", 3, "block 2 published in round 1, outside 2..3"),
         ("block 1 creator 1 parent 0 published 3\nblock 2 creator 2 parent 1 published 2\n",
-         1, "block 2 was published before its parent 1"),
+         4, "block 2 was published before its parent 1"),
         ("block -1 creator 1 parent - published -\n", 3, "block label must be >= 0, got -1"),
     ]:
         with pytest.raises(StatefileError, match=f"^line {line}: {message}$"):
@@ -229,6 +229,20 @@ def test_statefile_rejects_states_no_game_reaches():
     ]:
         with pytest.raises(StatefileError):
             parse_statefile(text)
+
+
+def test_whole_file_checks_name_the_offending_block_line():
+    # the checks that need every block read still point at the block's own line
+    head = "posmine-state v1 round 3 offset 0\nblock 0 creator 0 parent - published 0\n"
+    for body, line in [
+        ("block 1 creator 1 parent - published -\n# note\nblock 2 creator 2 parent 1 published 2\n", 5),
+        ("block 2 creator 2 parent 1 published 2\nblock 1 creator 1 parent 0 published 3\n", 3),
+        ("block 1 creator 2 parent 0 published 1\n\nblock 9 creator 1 parent - published -\n"
+         "block 7 creator 1 parent - published -\n", 6),
+    ]:
+        with pytest.raises(StatefileError) as err:
+            parse_statefile(head + body)
+        assert err.value.line == line, str(err.value)
 
 
 @pytest.mark.parametrize(

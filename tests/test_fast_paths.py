@@ -2,8 +2,8 @@
 kept here as they stood before: the path reader and the timeserving test
 (which desugared every action), the checkpoint scan (which walked the chain
 through `chain_path` and bisected an empty pool too), the fork-ownership
-monitor's ancestor walk (a set of ancestors back to genesis), the override
-monitor (which called `is_trimmed` again and set-tested the checkpoints)
+check's ancestor walk (a set of ancestors back to genesis), the override
+check (which called `is_trimmed` again and set-tested the checkpoints)
 and the reduction wrappers' rank pairing (redone every round).  Each pair
 must give the same value, or raise the same exception type, at every
 half-round and round end of random games, and on malformed actions."""
@@ -45,13 +45,12 @@ from posmine.structure import (
     MonitorReport,
     Witness,
     _as_path,
-    _ForkOwnershipMonitor,
-    _OverrideMonitor,
-    _RoundCheckpoints,
+    _Audit,
     checkpoints,
     is_timeserving,
     is_trimmed,
 )
+from audit_reference import _ForkOwnershipMonitor
 from conftest import LadderRacer, TopHeavyRacer
 
 # ---------------------------------------------------------------------------
@@ -238,6 +237,13 @@ def equal_height_pairs(state):
                 yield b, other
 
 
+def audit_fork(report):
+    """The audit observer with only its fork-ownership check, filling ``report``."""
+    audit = _Audit(("fork",))
+    audit.fork = report
+    return audit
+
+
 def fork_outcome(monitor_class, state, b, other):
     report = MonitorReport()
     monitor_class(report)._check_pair(state, b, other, state.round)
@@ -249,7 +255,7 @@ class CompareEverywhere:
     against its reference body on the live position."""
 
     def __init__(self):
-        self.cache = _RoundCheckpoints()
+        self.cache = _Audit(())._checkpoints
         self.positions = 0
 
     def _position(self, state):
@@ -258,7 +264,7 @@ class CompareEverywhere:
         assert self.cache(state) == want
         assert_same_paths(state, probe_actions(state))
         for b, other in equal_height_pairs(state):
-            assert fork_outcome(_ForkOwnershipMonitor, state, b, other) == fork_outcome(
+            assert fork_outcome(audit_fork, state, b, other) == fork_outcome(
                 ReferenceForkMonitor, state, b, other
             )
         self.positions += 1
@@ -309,10 +315,11 @@ def test_monitors_match_their_references(game):
     name, alpha, seed, rounds = game
     trace = run_game(STRATEGIES[name](), alpha, rounds * 4, seed=seed)
     reports = [MonitorReport() for _ in range(4)]
+    audit = _Audit(("fork", "override"))
+    audit.fork, audit.override = reports[0], reports[2]
     structure.replay_trace(trace, [
-        _ForkOwnershipMonitor(reports[0]),
+        audit,
         ReferenceForkMonitor(reports[1]),
-        _OverrideMonitor(reports[2], _RoundCheckpoints()),
         ReferenceOverrideMonitor(reports[3]),
     ])
     assert reports[0] == reports[1]

@@ -16,9 +16,9 @@ from posmine.structure import (
 from conftest import LadderRacer
 
 CHECKS = (
-    (classify_trace, structure._classifier_run),
-    (fork_ownership_check, structure._fork_ownership_run),
-    (checkpoint_override_check, structure._override_run),
+    (classify_trace, "props"),
+    (fork_ownership_check, "fork"),
+    (checkpoint_override_check, "override"),
 )
 
 
@@ -58,10 +58,10 @@ def test_each_trace_gets_its_own_replay(replays):
 def test_shared_reports_equal_each_checks_own_replay(seed):
     # the ladder racer breaks five properties and trips the fork monitor
     tr = run_game(LadderRacer(), 0.4, 800, seed=seed)
-    for check, run in CHECKS:
-        own, observers = run()
-        structure.replay_trace(tr, observers)
-        assert check(tr) == own
+    for check, name in CHECKS:
+        own = structure._Audit((name,))
+        structure.replay_trace(tr, [own])
+        assert check(tr) == getattr(own, name)
 
 
 def test_an_edited_trace_is_replayed_again():
@@ -109,10 +109,10 @@ def test_a_failing_shared_replay_leaves_each_check_its_own_outcome(monkeypatch):
     want = fork_ownership_check(tr)
     tr._checks = None
 
-    def broken(self, state, creator, block, action):
+    def broken(self, *args):
         raise RuntimeError("classifier observer broke")
 
-    monkeypatch.setattr(structure._ActionClassifierMonitor, "half", broken)
+    monkeypatch.setattr(structure._Audit, "_classify", broken)
     assert fork_ownership_check(tr) == want
     assert checkpoint_override_check(tr).holds
     with pytest.raises(RuntimeError, match="classifier observer broke"):
