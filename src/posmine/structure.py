@@ -440,11 +440,7 @@ class _Audit:
     """The observer of the three trace checks: it fills ``props`` (the six
     properties of :func:`classify_trace`), ``fork`` and ``override`` (the
     two monitors).  A report not named in ``checks`` stays None, and its
-    work is not done.
-
-    A Miner-1 publish is read once for all of them: its label, its path,
-    whether its base is on the chain and whether it is trimmed.  Each
-    position's checkpoints come from one cache (:meth:`_checkpoints`).
+    work is not done.  See the module docstring for what the checks share.
     """
 
     def __init__(self, checks=_CHECKS):
@@ -457,7 +453,7 @@ class _Audit:
         self.prev: list[int] = [GENESIS]  # checkpoints at the last round end or settle
         self.by_height: dict[int, list[int]] = {}  # published blocks of the live state
         self.pending: Optional[tuple[int, str]] = None  # a checkpoint-displacing trimmed fork
-        self.cp_key: Optional[tuple] = None  # (state, publish count, tip) of ``cps``
+        self.cp_key: tuple = (None, 0, GENESIS)  # (state, publish count, tip) of ``cps``
         self.cps: list[int] = []
 
     def _checkpoints(self, state: GameState) -> list[int]:
@@ -470,7 +466,7 @@ class _Audit:
         new state) recomputes the list."""
         n, tip = len(state._pub_seq), state._tip
         key = self.cp_key
-        if key is not None and key[0] is state:
+        if key[0] is state:
             if key[1] == n:
                 return self.cps
             if key[1] + 1 == n and state.parent.get(tip) == key[2]:
