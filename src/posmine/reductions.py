@@ -3,10 +3,13 @@
 Each wrapper runs the inner strategy on a private shadow game fed the same
 creator draws (Miner 2's frontier response is simulated on the shadow), and
 translates the inner strategy's publishes into better-shaped actions on the
-real game.  The round is the same for every wrapper
-(``_ShadowWrapper._step``); a wrapper only defines
-``_translate(half, blocks, u)``, the real publish that stands for the inner
-publish of ``blocks`` on shadow base ``u``:
+real game.  Until a translation first changes a publish, the shadow would
+be the real game, so it is built only then, as a copy of the real game
+(stock play under ``orderly_reduce`` or ``lcm_reduce`` never needs one).
+The round is the same for every wrapper (``_ShadowWrapper._step``); a
+wrapper only defines ``_translate(half, blocks, u)``, the real publish that
+stands for the inner publish of ``blocks`` on shadow base ``u``, and
+``_in_shape``, whether that is the inner publish itself:
 
 * ``orderly_reduce`` keeps the publish base (up to a block-label mapping)
   but swaps the published blocks for the smallest available ones, so every
@@ -50,11 +53,19 @@ from .blocktree import (
     begin_round,
     capitulate,
     chain_path,
-    initial_state,
+    on_chain,
     successors,
+    validate_action,
 )
 from .strategies import StrategyDecision, UnreachableState, _creator_stream
-from .structure import _as_path, _publishes_nothing, checkpoints, is_timeserving, is_trimmed
+from .structure import (
+    _as_path,
+    _publishes_nothing,
+    _smallest_above,
+    checkpoints,
+    is_timeserving,
+    is_trimmed,
+)
 
 __all__ = [
     "CouplingBroken",
@@ -155,7 +166,9 @@ def _check_sigma_coupling(sigma: SigmaMap, shadow: GameState, real: GameState) -
 class _ShadowWrapper:
     """Shared machinery: mirror the creator draws (and Miner 2's frontier
     response) on a private shadow game the inner strategy plays against.
-    Subclasses define ``_translate`` (see the module docstring)."""
+    ``shadow`` is None while that game is the real one and sigma is empty,
+    which ``attach`` makes true at the start.  Subclasses define
+    ``_translate`` and ``_in_shape`` (see the module docstring)."""
 
     def __init__(self, inner, check: bool = False):
         self.inner = inner
@@ -164,7 +177,7 @@ class _ShadowWrapper:
 
     def reset(self) -> None:
         self.inner.reset()
-        self.shadow = initial_state()
+        self.shadow: Optional[GameState] = None
         self.sigma = SigmaMap()
         self._paired: Optional[GameState] = None
 
@@ -178,12 +191,28 @@ class _ShadowWrapper:
     def _step(self, half: HalfState) -> StrategyDecision:
         """Advance the shadow, run the inner strategy on it, apply its
         publish there and translate it for the real game, then settle the
-        shadow if the inner strategy settles."""
-        dec = self.inner.decide(self._advance(half))
+        shadow if the inner strategy settles.  With no shadow the inner
+        strategy plays ``half``, its publish gets the same checks on the
+        real state, and only one that ``_in_shape`` rejects builds the
+        shadow, as a copy of the real state."""
+        if self.shadow is None:
+            dec = self.inner.decide(half)
+            if _publishes_nothing(dec.action):
+                return dec
+            path = self._inner_path(half.state, dec.action)
+            validate_action(half.state, MINER1, dec.action)
+            if self._in_shape(half, *path):
+                if type(dec.action) is not PublishPath:  # the form a translation takes
+                    dec = StrategyDecision(PublishPath(frozenset(path[0]), path[1]), dec.capitulate_to_b0)
+                return dec
+            self.shadow = half.state.clone()
+        else:
+            dec = self.inner.decide(self._advance(half))
+            path = None if _publishes_nothing(dec.action) else self._inner_path(self.shadow, dec.action)
         settle = dec.capitulate_to_b0
-        if not _publishes_nothing(dec.action):
-            blocks, u = self._apply_inner(dec.action)
-            dec = StrategyDecision(self._translate(half, blocks, u), settle)
+        if path is not None:
+            attach_action(self.shadow, MINER1, dec.action)
+            dec = StrategyDecision(self._translate(half, *path), settle)
             self._paired = None
         if settle:
             self.shadow = capitulate(self.shadow, self.shadow.tip_height())
@@ -216,8 +245,7 @@ class _ShadowWrapper:
             # Those extras are harmless -- they just widen the pool future
             # publishes draw from -- but the shadow must never know MORE
             # than the real game holds.
-            if len(sh_pool) > len(re_pool):
-                raise RuntimeError("shadow game diverged from the real game")
+            _require(len(sh_pool) <= len(re_pool), "shadow game diverged from the real game")
             for b, target in zip(sorted(sh_pool), sorted(re_pool)):
                 self.sigma.set(b, target)
         self._paired = half.state
@@ -225,19 +253,19 @@ class _ShadowWrapper:
             _check_sigma_coupling(self.sigma, shadow, half.state)
         return HalfState(shadow, half.creator, n)
 
-    def _apply_inner(self, action: Action) -> tuple[list[int], int]:
-        """Check that the inner publish is one timeserving path, apply it to
-        the shadow game, and return its (ascending blocks, base)."""
-        if not is_timeserving(self.shadow, action):
+    @staticmethod
+    def _inner_path(state: GameState, action: Action) -> tuple[list[int], int]:
+        """Check that the inner publish is one timeserving path on the inner
+        strategy's ``state``, and return its (ascending blocks, base)."""
+        if not is_timeserving(state, action):
             raise InnerNotTimeserving(
-                f"round {self.shadow.round}: inner action {action!r} is not timeserving"
+                f"round {state.round}: inner action {action!r} is not timeserving"
             )
-        path = _as_path(self.shadow, action)
+        path = _as_path(state, action)
         if path is None:
             raise InnerNotTimeserving(
-                f"round {self.shadow.round}: inner action {action!r} is not a single path"
+                f"round {state.round}: inner action {action!r} is not a single path"
             )
-        attach_action(self.shadow, MINER1, action)
         return path
 
     def _chain_at(self, half: HalfState, u: int) -> int:
@@ -296,6 +324,9 @@ class OrderlyReduction(_ShadowWrapper):
     def _translate(self, half: HalfState, blocks: list[int], u: int) -> PublishPath:
         return self._remap(half, blocks, self.sigma(u))
 
+    def _in_shape(self, half: HalfState, blocks: list[int], u: int) -> bool:
+        return _smallest_above(half.state, blocks, u)
+
 
 class LcmStepReduction(_ShadowWrapper):
     """Pass the inner strategy through verbatim, except in round N+1 where
@@ -319,6 +350,9 @@ class LcmStepReduction(_ShadowWrapper):
         if half.state.round == self.step_round + 1:
             u = self._chain_at(half, u)
         return PublishPath(frozenset(blocks), u)
+
+    def _in_shape(self, half: HalfState, blocks: list[int], u: int) -> bool:
+        return half.state.round != self.step_round + 1 or on_chain(half.state, u)
 
 
 class LcmReduction(_ShadowWrapper):
@@ -348,6 +382,10 @@ class LcmReduction(_ShadowWrapper):
     def _translate(self, half: HalfState, blocks: list[int], u: int) -> PublishPath:
         base = self._chain_at(half, u) if half.state.round <= self.horizon else self.sigma(u)
         return self._remap(half, blocks, base)
+
+    def _in_shape(self, half: HalfState, blocks: list[int], u: int) -> bool:
+        state = half.state
+        return _smallest_above(state, blocks, u) and (state.round > self.horizon or on_chain(state, u))
 
 
 def orderly_reduce(inner, check: bool = False) -> OrderlyReduction:

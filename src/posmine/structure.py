@@ -288,11 +288,12 @@ def is_orderly(state: GameState, action: Action) -> bool:
     if _publishes_nothing(action):
         return True
     path = _as_path(state, action)
-    if path is None:
-        return False
-    blocks, base = path
-    pool = sorted(b for b in state.unpublished_1 if b > base)
-    return blocks == pool[: len(blocks)]
+    return path is not None and _smallest_above(state, *path)
+
+
+def _smallest_above(state: GameState, blocks: list[int], base: int) -> bool:
+    """Are ``blocks`` (ascending) the smallest withheld Miner-1 blocks above ``base``?"""
+    return sorted(b for b in state.unpublished_1 if b > base)[: len(blocks)] == blocks
 
 
 def is_lcm(state: GameState, action: Action) -> bool:
@@ -611,9 +612,7 @@ class _Audit:
         if self.props is not None:
             self.prev = self._checkpoints(state)
         if self.fork is not None:
-            self.by_height = {}
-            for b in state.parent:
-                self.by_height.setdefault(state._heights[b], []).append(b)
+            self.by_height = {}  # the engine settles at the tip, so no block is published yet
 
 
 def _checked(trace: Trace, check: str):
