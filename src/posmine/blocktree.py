@@ -9,7 +9,9 @@ published block points to exactly one strictly earlier block, and
 
 The longest chain is the path to the highest published block, with ties
 broken in favor of the block published first (publication order within a
-round follows action order, and within one action ascending label).  All
+round follows action order, and within one action ascending label).  A
+:class:`GameState` keeps that order as the key order of its one
+publication record, which maps each published block to its round.  All
 chain rewards, reachability queries, capitulation (forgetting blocks that
 can no longer matter), canonical comparison, and the text/DOT
 serializations live here.
@@ -200,13 +202,13 @@ class GameState:
     round:         last created block's label (absolute)
     offset:        absolute label the current genesis stands for
 
-    ``_pub_seq`` is the only publication record: published block ->
-    (round of publication, rank).  Ranks are 0 .. n-1 in publication order
-    (genesis first), so a new publish takes rank ``len(_pub_seq)``; clone,
-    capitulate and parse_statefile keep them dense, which keeps them
-    increasing within every round.  Tie-breaks and canonical comparison
-    read the order from it; the statefile's ``published`` column is its
-    round.  ``_heights``, ``_chain_m1`` and ``_tip`` are caches of the tree.
+    ``_pub_round`` is the only publication record: published block -> the
+    round it was published in, with its keys in publication order (genesis
+    first).  A publish appends; clone, capitulate and parse_statefile keep
+    the order, so rounds never decrease along it.  Tie-breaks and canonical
+    comparison read the order from its keys; the statefile's ``published``
+    column is its value.  ``_heights``, ``_chain_m1`` and ``_tip`` are
+    caches of the tree.
     """
 
     __slots__ = (
@@ -218,7 +220,7 @@ class GameState:
         "offset",
         "_heights",
         "_chain_m1",
-        "_pub_seq",
+        "_pub_round",
         "_tip",
     )
 
@@ -231,7 +233,7 @@ class GameState:
         self.offset: int = 0
         self._heights: dict[int, int] = {GENESIS: 0}
         self._chain_m1: dict[int, int] = {GENESIS: 0}
-        self._pub_seq: dict[int, tuple[int, int]] = {GENESIS: (0, 0)}
+        self._pub_round: dict[int, int] = {GENESIS: 0}
         self._tip: int = GENESIS
 
     # -- basic queries ----------------------------------------------------
@@ -270,7 +272,7 @@ class GameState:
         s.offset = self.offset
         s._heights = dict(self._heights)
         s._chain_m1 = dict(self._chain_m1)
-        s._pub_seq = dict(self._pub_seq)
+        s._pub_round = dict(self._pub_round)
         s._tip = self._tip
         return s
 
@@ -289,7 +291,7 @@ class GameState:
         owner = self.creator[b]
         (self.unpublished_1 if owner == MINER1 else self.unpublished_2).discard(b)
         self.parent[b] = target
-        self._pub_seq[b] = (self.round, len(self._pub_seq))
+        self._pub_round[b] = self.round
         h = self._heights[target] + 1
         self._heights[b] = h
         self._chain_m1[b] = self._chain_m1[target] + (1 if owner == MINER1 else 0)
@@ -392,17 +394,6 @@ def attach_action(state: GameState, miner: int, action: Action) -> Union[Wait, P
     return flat
 
 
-def apply_action(state: GameState, miner: int, action: Action, *, in_place: bool = False) -> GameState:
-    """Validate and apply an action; returns the successor state.
-
-    By default the input state is left untouched and a modified copy is
-    returned; pass ``in_place=True`` to mutate.
-    """
-    target_state = state if in_place else state.clone()
-    attach_action(target_state, miner, action)
-    return target_state
-
-
 # ---------------------------------------------------------------------------
 # chain queries
 
@@ -453,11 +444,6 @@ def successors(state: GameState, b: int) -> list[int]:
     return out[::-1]
 
 
-def reward(before: GameState, after: GameState, miner: int) -> int:
-    """Change in the miner's longest-chain block count between two states."""
-    return after.chain_owned(miner) - before.chain_owned(miner)
-
-
 # ---------------------------------------------------------------------------
 # reachability, capitulation
 
@@ -499,7 +485,7 @@ def capitulate(state: GameState, c: int) -> GameState:
     Settling at the tip (every settle the engine makes) is the fast path:
     no published block lies above the tip, so the new state is a fresh
     genesis-only tree holding just the withheld survivors, and needs no
-    re-ranking and no cache rebuild.
+    cache rebuild.
     """
     if c < 0 or c > state.tip_height():
         raise BadHeight(f"no chain block at height {c}")
@@ -527,9 +513,9 @@ def capitulate(state: GameState, c: int) -> GameState:
         target = anc if anc in keep_pub else GENESIS
         s.creator[v] = state.creator[v]
         s.parent[v] = target
-    # survivors keep their publication order, re-ranked densely after genesis
-    for v in sorted(keep_pub, key=state._pub_seq.__getitem__):
-        s._pub_seq[v] = (state._pub_seq[v][0], len(s._pub_seq))
+    for v, rnd in state._pub_round.items():  # survivors keep their publication order
+        if v in keep_pub:
+            s._pub_round[v] = rnd
     _rebuild_caches(s)
     return s
 
@@ -541,10 +527,7 @@ def _rebuild_caches(s: GameState) -> None:
         p = s.parent[v]
         s._heights[v] = s._heights[p] + 1
         s._chain_m1[v] = s._chain_m1[p] + (1 if s.creator[v] == MINER1 else 0)
-    s._tip = min(
-        s.published_blocks(),
-        key=lambda b: (-s._heights[b], s._pub_seq[b][0], s._pub_seq[b][1], b),
-    )
+    s._tip = max(s._pub_round, key=s._heights.__getitem__)  # the first published of the highest
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +537,8 @@ def _rebuild_caches(s: GameState) -> None:
 def _canonical_form(state: GameState):
     blocks = sorted(state.creator)
     relabel = {b: i for i, b in enumerate(blocks)}
-    order = sorted((seq, b) for b, seq in state._pub_seq.items())
     return (
-        tuple(relabel[b] for _, b in order),
+        tuple(relabel[b] for b in state._pub_round),
         tuple(sorted((relabel[v], relabel[t]) for v, t in state.parent.items())),
         frozenset(relabel[u] for u in state.unpublished_1),
         frozenset(relabel[u] for u in state.unpublished_2),
@@ -629,9 +611,11 @@ def potential_reward_exhaustive(state: GameState) -> int:
     """Brute-force twin of :func:`potential_reward`; also the test oracle
     (states of at most 15 blocks, as :func:`enumerate_actions`)."""
     best = 0
+    before = state.chain_owned(MINER1)
     for action in enumerate_actions(state, MINER1):
-        after = apply_action(state, MINER1, action)
-        best = max(best, abs(reward(state, after, MINER1)))
+        after = state.clone()
+        attach_action(after, MINER1, action)
+        best = max(best, abs(after.chain_owned(MINER1) - before))
     return best
 
 
@@ -644,7 +628,7 @@ def format_statefile(state: GameState) -> str:
     lines = [f"{STATEFILE_MAGIC} {STATEFILE_VERSION} round {state.round} offset {state.offset}"]
     for b in sorted(state.creator):
         par = state.parent.get(b)
-        pub = state._pub_seq[b][0] if b in state._pub_seq else None
+        pub = state._pub_round.get(b)
         lines.append(
             "block {} creator {} parent {} published {}".format(
                 b,
@@ -749,8 +733,7 @@ def parse_statefile(text: str) -> GameState:
     if above:
         raise StatefileError(line_of[min(above)], "a block label exceeds the round counter")
 
-    order = sorted(pub_round, key=lambda b: (pub_round[b], b))
-    s._pub_seq = {b: (pub_round[b], rank) for rank, b in enumerate(order)}
+    s._pub_round = {b: pub_round[b] for b in sorted(pub_round, key=lambda b: (pub_round[b], b))}
     _rebuild_caches(s)
     return s
 

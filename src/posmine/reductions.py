@@ -22,12 +22,10 @@ stands for the inner publish of ``blocks`` on shadow base ``u``, and
 
 The block-label mapping (sigma) pairs the shadow game's blocks with the
 real game's: published blocks are paired when published, and the still
-unpublished blocks are paired up by rank after every publish.  Miner-2
-blocks always map to themselves.  Each round re-pairs only what can have
-changed since the last pairing (see ``_ShadowWrapper._advance``), and
-nothing when the shadow withholds nothing.  With ``check=True`` the
-coupling is re-checked every round, and a broken invariant raises
-:class:`CouplingBroken`.
+unpublished blocks are paired up by rank after every publish and again
+every round in which the shadow withholds anything.  Miner-2 blocks always
+map to themselves.  With ``check=True`` the coupling is re-checked every
+round, and a broken invariant raises :class:`CouplingBroken`.
 
 ``checkpoint_preserve_case1`` builds the deferred-publication plan that
 replaces a checkpoint-forking publish: wait out a biased random walk, then
@@ -55,7 +53,6 @@ from .blocktree import (
     chain_path,
     on_chain,
     successors,
-    validate_action,
 )
 from .strategies import StrategyDecision, UnreachableState, _creator_stream
 from .structure import (
@@ -179,7 +176,6 @@ class _ShadowWrapper:
         self.inner.reset()
         self.shadow: Optional[GameState] = None
         self.sigma = SigmaMap()
-        self._paired: Optional[GameState] = None
 
     def attach(self, state: GameState) -> None:
         if state.parent or state.unpublished_1 or state.unpublished_2 or state.round:
@@ -200,7 +196,6 @@ class _ShadowWrapper:
             if _publishes_nothing(dec.action):
                 return dec
             path = self._inner_path(half.state, dec.action)
-            validate_action(half.state, MINER1, dec.action)
             if self._in_shape(half, *path):
                 if type(dec.action) is not PublishPath:  # the form a translation takes
                     dec = StrategyDecision(PublishPath(frozenset(path[0]), path[1]), dec.capitulate_to_b0)
@@ -213,32 +208,20 @@ class _ShadowWrapper:
         if path is not None:
             attach_action(self.shadow, MINER1, dec.action)
             dec = StrategyDecision(self._translate(half, *path), settle)
-            self._paired = None
         if settle:
             self.shadow = capitulate(self.shadow, self.shadow.tip_height())
             self.sigma.prune(self.shadow.knows)
-            self._paired = None
         return dec  # a move of no block passes through as the inner strategy decided it
 
     def _advance(self, half: HalfState) -> HalfState:
         """Play the round's draw on the shadow and pair the two unpublished
-        pools by rank.
-
-        ``_paired`` is the real state the pools were last paired against;
-        a publish or a settle clears it.  While it is still this round's
-        real state, the pools changed only by this round's block, the
-        newest in either pool: a Miner-2 block changes neither, and a
-        Miner-1 block pairs with itself (no sigma entry) when the pools are
-        the same size.  Only otherwise is the pairing redone.
-        """
+        pools by rank."""
         shadow = self.shadow
         n = begin_round(shadow, half.creator)
         if half.creator == MINER2:
             shadow._publish_one(n, shadow._tip)
         sh_pool, re_pool = shadow.unpublished_1, half.state.unpublished_1
-        if sh_pool and not (
-            self._paired is half.state and (half.creator == MINER2 or len(sh_pool) == len(re_pool))
-        ):
+        if sh_pool:
             # Settling can prune the two unpublished pools asymmetrically
             # (label order decides what is still stackable), so the real
             # game may carry stale extra blocks the shadow has forgotten.
@@ -248,15 +231,16 @@ class _ShadowWrapper:
             _require(len(sh_pool) <= len(re_pool), "shadow game diverged from the real game")
             for b, target in zip(sorted(sh_pool), sorted(re_pool)):
                 self.sigma.set(b, target)
-        self._paired = half.state
         if self.check:
             _check_sigma_coupling(self.sigma, shadow, half.state)
         return HalfState(shadow, half.creator, n)
 
     @staticmethod
     def _inner_path(state: GameState, action: Action) -> tuple[list[int], int]:
-        """Check that the inner publish is one timeserving path on the inner
-        strategy's ``state``, and return its (ascending blocks, base)."""
+        """Check that the inner publish is one valid, timeserving path on the
+        inner strategy's ``state`` (an invalid one raises what
+        ``blocktree.validate_action`` raises), and return its (ascending
+        blocks, base)."""
         if not is_timeserving(state, action):
             raise InnerNotTimeserving(
                 f"round {state.round}: inner action {action!r} is not timeserving"

@@ -439,8 +439,8 @@ class Trace:
 
     ``final_state`` is the live state the game ended in (set by
     :func:`run_game`; not part of equality).  ``_checks`` is private to
-    :mod:`posmine.structure`: the reports of its one shared replay, with a
-    snapshot of the lists that replay read."""
+    :mod:`posmine.structure`: the observer of its one shared replay, which
+    holds the three reports, with a snapshot of the lists that replay read."""
 
     strategy: str
     alpha: float

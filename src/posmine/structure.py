@@ -16,6 +16,8 @@ them called on a trace replays it once with one observer for all three and
 keeps the three reports on the trace, next to a snapshot of the lists the
 replay read.  A later call reuses them while the trace still matches the
 snapshot, replays again when it does not, and always returns a fresh copy.
+A replay that raises keeps nothing, so the call raises its error and the
+next call replays again.
 
 The replay is kept cheap per round.  Its one observer hooks each round once
 per hook and reads each Miner-1 publish once for every check: its label,
@@ -49,6 +51,7 @@ from .blocktree import (
     desugar,
     on_chain,
     successors,
+    validate_action,
 )
 from .strategies import Engine, Scripted, Trace, format_action
 
@@ -255,13 +258,17 @@ def is_timeserving(state: GameState, action: Action) -> bool:
 
     Ties against already-published blocks are lost (first published wins),
     so e.g. matching the current tip's height is not good enough.  A
-    :class:`PublishPath` of Miner 1's own unpublished blocks is one path
-    from its base, so it lands exactly when its top block outgrows the tip;
-    any other action is desugared and its new chain walked.
+    :class:`PublishPath` of Miner 1's own unpublished blocks on a published
+    base below them is one path from that base, so it lands exactly when
+    its top block outgrows the tip; any other action is validated (an
+    invalid one raises what :func:`validate_action` raises) and its new
+    chain walked.
     """
     if isinstance(action, PublishPath) and action.blocks and action.blocks <= state.unpublished_1:
-        return state._heights[action.base] + len(action.blocks) > state._heights[state._tip]
-    flat = desugar(state, MINER1, action)
+        base = action.base
+        if base in state._heights and base < min(action.blocks):
+            return state._heights[base] + len(action.blocks) > state._heights[state._tip]
+    flat = validate_action(state, MINER1, action)
     if isinstance(flat, Wait):
         return True
     parents = dict(flat.edges)
@@ -434,20 +441,16 @@ def replay_trace(trace: Trace, observers: list) -> GameState:
     return eng.state
 
 
-_CHECKS = ("props", "fork", "override")
-
-
 class _Audit:
     """The observer of the three trace checks: it fills ``props`` (the six
     properties of :func:`classify_trace`), ``fork`` and ``override`` (the
-    two monitors).  A report not named in ``checks`` stays None, and its
-    work is not done.  See the module docstring for what the checks share.
+    two monitors).  See the module docstring for what the checks share.
     """
 
-    def __init__(self, checks=_CHECKS):
-        self.props = PropertyReport() if "props" in checks else None
-        self.fork = MonitorReport() if "fork" in checks else None
-        self.override = MonitorReport() if "override" in checks else None
+    def __init__(self) -> None:
+        self.props = PropertyReport()
+        self.fork = MonitorReport()
+        self.override = MonitorReport()
         self.acted = False  # Miner 1 published in this round
         # opportunistic: (round, top, was_full, label) of publishes not yet final
         self.watch: list[tuple[int, int, bool, str]] = []
@@ -465,7 +468,7 @@ class _Audit:
         stand and the new tip joins them if its window from the last one
         counts enough.  Any other change (a fork, several blocks, a settle's
         new state) recomputes the list."""
-        n, tip = len(state._pub_seq), state._tip
+        n, tip = len(state._pub_round), state._tip
         key = self.cp_key
         if key[0] is state:
             if key[1] == n:
@@ -502,15 +505,13 @@ class _Audit:
                 above, v = v, parent[v]
             lcm = v == base
             trimmed = lcm and (above is None or state.creator[above] == MINER2)
-        if self.props is not None:
-            self._classify(state, action, path, lcm, trimmed, label)
-        if self.override is not None:
-            if not trimmed:
-                self.override.skipped.append(Witness(state.round, label))
-            # the base and the checkpoints are chain blocks, and labels grow up
-            # the chain: a checkpoint sits at or above the base iff the last does
-            elif self._checkpoints(state)[-1] >= base:
-                self.pending = (state.round, label)
+        self._classify(state, action, path, lcm, trimmed, label)
+        if not trimmed:
+            self.override.skipped.append(Witness(state.round, label))
+        # the base and the checkpoints are chain blocks, and labels grow up
+        # the chain: a checkpoint sits at or above the base iff the last does
+        elif self._checkpoints(state)[-1] >= base:
+            self.pending = (state.round, label)
 
     def _classify(self, state: GameState, action: Action, path, lcm: bool, trimmed: bool, label: str) -> None:
         """The four per-action properties of a Miner-1 publish, and its
@@ -538,46 +539,44 @@ class _Audit:
 
     def round_end(self, state: GameState, new_blocks, capped: bool, round_no: int) -> None:
         props = self.props
-        if props is not None:
-            # Opportunistic: a publish whose top block stays on the chain until
-            # a settle locks it in must have held every withheld block above
-            # its base.  Blocks still live when the trace ends count as not
-            # final.  Only a settle or a Miner-1 publish can end a watch: a
-            # Miner-2 block on the tip knocks nothing off the chain.
-            if self.watch and (capped or self.acted):
-                keep = []
-                for entry in self.watch:
-                    if not (state.is_published(entry[1]) and on_chain(state, entry[1])):
-                        continue  # knocked off the chain: never final, nothing to check
-                    if not capped:
-                        keep.append(entry)
-                    elif not entry[2]:  # final now: the full-set condition applies
-                        props.opportunistic.hit(entry[0], entry[3])
-                self.watch = keep
-            # Checkpoint-recurrent: within a settled epoch a checkpoint never
-            # moves once it appears, and nothing withheld sits above it then.
-            cps, prev = self._checkpoints(state), self.prev
-            if cps is not prev:
-                if cps[: len(prev)] != prev:
-                    props.checkpoint_recurrent.hit(round_no, f"checkpoints moved: {prev} -> {cps}")
-                elif len(cps) > len(prev):
-                    first_new = cps[len(prev)]
-                    loose = [u for u in state.unpublished_1 | state.unpublished_2 if u > first_new]
-                    if loose:
-                        props.checkpoint_recurrent.hit(
-                            round_no, f"unpublished {sorted(loose)} above new checkpoint {first_new}"
-                        )
-                self.prev = cps  # checkpoint lists are never changed once made
-        if self.fork is not None:
-            by_height = self.by_height
-            for b in new_blocks:
-                peers = by_height.get(state._heights[b])
-                if peers is None:
-                    by_height[state._heights[b]] = [b]
-                    continue
-                for other in peers:
-                    self._check_pair(state, b, other, round_no)
-                peers.append(b)
+        # Opportunistic: a publish whose top block stays on the chain until
+        # a settle locks it in must have held every withheld block above
+        # its base.  Blocks still live when the trace ends count as not
+        # final.  Only a settle or a Miner-1 publish can end a watch: a
+        # Miner-2 block on the tip knocks nothing off the chain.
+        if self.watch and (capped or self.acted):
+            keep = []
+            for entry in self.watch:
+                if not (state.is_published(entry[1]) and on_chain(state, entry[1])):
+                    continue  # knocked off the chain: never final, nothing to check
+                if not capped:
+                    keep.append(entry)
+                elif not entry[2]:  # final now: the full-set condition applies
+                    props.opportunistic.hit(entry[0], entry[3])
+            self.watch = keep
+        # Checkpoint-recurrent: within a settled epoch a checkpoint never
+        # moves once it appears, and nothing withheld sits above it then.
+        cps, prev = self._checkpoints(state), self.prev
+        if cps is not prev:
+            if cps[: len(prev)] != prev:
+                props.checkpoint_recurrent.hit(round_no, f"checkpoints moved: {prev} -> {cps}")
+            elif len(cps) > len(prev):
+                first_new = cps[len(prev)]
+                loose = [u for u in state.unpublished_1 | state.unpublished_2 if u > first_new]
+                if loose:
+                    props.checkpoint_recurrent.hit(
+                        round_no, f"unpublished {sorted(loose)} above new checkpoint {first_new}"
+                    )
+            self.prev = cps  # checkpoint lists are never changed once made
+        by_height = self.by_height
+        for b in new_blocks:
+            peers = by_height.get(state._heights[b])
+            if peers is None:
+                by_height[state._heights[b]] = [b]
+                continue
+            for other in peers:
+                self._check_pair(state, b, other, round_no)
+            peers.append(b)
         if self.pending is not None:
             # a trimmed fork that displaced a checkpoint must land one at the
             # tip, the top chain block
@@ -609,35 +608,26 @@ class _Audit:
             v, y = parent[v], parent[y]
 
     def capitulated(self, state: GameState) -> None:
-        if self.props is not None:
-            self.prev = self._checkpoints(state)
-        if self.fork is not None:
-            self.by_height = {}  # the engine settles at the tip, so no block is published yet
+        self.prev = self._checkpoints(state)
+        self.by_height = {}  # the engine settles at the tip, so no block is published yet
 
 
 def _checked(trace: Trace, check: str):
-    """A fresh copy of the ``check`` report (one of ``_CHECKS``) from the
-    trace's shared replay.
+    """A fresh copy of the ``check`` report (``props``, ``fork`` or
+    ``override``) from the trace's shared replay.
 
     The shared replay runs one :class:`_Audit` for all three reports and is
     stored on the trace with a snapshot of ``creators``, ``m1_actions``,
     ``cap_flags`` and ``heights``; it is redone when any of them no longer
-    matches.  If it raises, an :class:`_Audit` of ``check`` alone replays the
-    trace and that outcome stands, so an error is the one this check raises
-    by itself.
+    matches.  A replay that raises stores nothing.
     """
     lists = (trace.creators, trace.m1_actions, trace.cap_flags, trace.heights)
     memo = trace._checks
     if memo is None or memo[0] != lists:
         audit = _Audit()
-        try:
-            replay_trace(trace, [audit])
-        except Exception:  # whatever broke, this check's own replay decides
-            audit = _Audit((check,))
-            replay_trace(trace, [audit])
-            return getattr(audit, check)
-        memo = trace._checks = (tuple(map(list, lists)), {c: getattr(audit, c) for c in _CHECKS})
-    return copy.deepcopy(memo[1][check])
+        replay_trace(trace, [audit])
+        memo = trace._checks = (tuple(map(list, lists)), audit)
+    return copy.deepcopy(getattr(memo[1], check))
 
 
 def classify_trace(trace: Trace) -> PropertyReport:

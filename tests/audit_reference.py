@@ -101,7 +101,7 @@ class _RoundCheckpoints:
         self.cps: list[int] = []
 
     def __call__(self, state: GameState) -> list[int]:
-        key = (state, state.round, len(state._pub_seq))
+        key = (state, state.round, len(state._pub_round))
         if key != self.key:
             self.key, self.cps = key, checkpoints(state)
         return self.cps

@@ -29,6 +29,8 @@ from posmine.structure import _Audit, checkpoints
 import audit_reference as ref
 from conftest import LadderRacer, TopHeavyRacer
 
+CHECKS = ("props", "fork", "override")  # the audit's reports, in `ref._RUNS` order
+
 
 class RandomMover:
     """Test double: a seeded Miner 1 that picks a random valid move each
@@ -78,13 +80,13 @@ class CacheCheck:
     new is published on the same state, and a new one for a new state."""
 
     def __init__(self):
-        self.cache = _Audit(())._checkpoints
+        self.cache = _Audit()._checkpoints
         self.last = None  # (state, publish count, list)
 
     def _position(self, state):
         cps = self.cache(state)
         assert cps == checkpoints(state)
-        n = len(state._pub_seq)
+        n = len(state._pub_round)
         if self.last is not None:
             last_state, last_n, last_cps = self.last
             if last_state is state and last_n == n:
@@ -100,19 +102,19 @@ class CacheCheck:
         self._position(state)
 
 
-def reference_reports(trace, checks=structure._CHECKS):
+def reference_reports(trace, checks=CHECKS):
     """The reports of today's observers, sharing one checkpoint cache as the
     shared replay did."""
     cps = ref._RoundCheckpoints()
-    runs = dict(zip(structure._CHECKS, (r(cps) for r in ref._RUNS)))
+    runs = dict(zip(CHECKS, (r(cps) for r in ref._RUNS)))
     structure.replay_trace(trace, [obs for c in checks for obs in runs[c][1]])
     return [runs[c][0] for c in checks]
 
 
-def audit_reports(trace, checks=structure._CHECKS):
-    audit = _Audit(checks)
+def audit_reports(trace):
+    audit = _Audit()
     structure.replay_trace(trace, [audit])
-    return [getattr(audit, c) for c in checks]
+    return [getattr(audit, c) for c in CHECKS]
 
 
 INNER = {
@@ -144,9 +146,10 @@ def test_audit_reports_equal_the_reference_observers(inner, wrap, alpha, seed, r
 @settings(max_examples=150, deadline=None)
 def test_random_moves_give_the_reference_reports(seed, alpha, rounds):
     trace = run_game(RandomMover(seed), alpha, rounds, seed=seed)
-    assert audit_reports(trace) == reference_reports(trace)
-    for check in structure._CHECKS:  # each check alone, as a failed shared replay runs it
-        assert audit_reports(trace, (check,)) == reference_reports(trace, (check,))
+    audit = audit_reports(trace)
+    assert audit == reference_reports(trace)
+    for report, check in zip(audit, CHECKS):  # each reference observer alone
+        assert [report] == reference_reports(trace, (check,))
 
 
 @given(seeds, alphas, hst.integers(min_value=1, max_value=300))

@@ -7,6 +7,7 @@ from posmine.blocktree import (
     MINER2,
     BadHeight,
     BackwardEdge,
+    BlockTreeError,
     DanglingEdge,
     EdgeCardinality,
     InvalidAction,
@@ -15,14 +16,17 @@ from posmine.blocktree import (
     PublishPath,
     PublishSet,
     StatefileError,
+    UnknownBlock,
     WAIT,
-    apply_action,
+    ancestors,
+    attach_action,
     begin_round,
     canonical_equal,
     capitulate,
     chain_path,
     desugar,
     format_statefile,
+    height,
     initial_state,
     on_chain,
     parse_statefile,
@@ -54,6 +58,14 @@ def test_begin_round_labels_and_pools():
     assert st0.creator[1] == MINER1
     with pytest.raises(ValueError):
         begin_round(st0, 0)
+
+
+@pytest.mark.parametrize("query", [height, ancestors, on_chain, successors])
+def test_a_query_on_an_unknown_block_raises_unknown_block(race_state, query):
+    with pytest.raises(UnknownBlock) as err:
+        query(race_state, 99)
+    assert isinstance(err.value, KeyError) and isinstance(err.value, BlockTreeError)
+    assert str(err.value) == "block 99 is not in the tree" and err.value.block == 99
 
 
 def test_desugar_path_chains_blocks(race_state):
@@ -104,7 +116,7 @@ def test_validation_edge_cardinality(race_state):
 def test_tie_goes_to_the_earlier_publish():
     st0 = initial_state()
     play_rounds(st0, [MINER2, MINER1])  # chain 0-1, Miner 1 holds 2
-    apply_action(st0, MINER1, PublishPath(frozenset({2}), GENESIS), in_place=True)
+    attach_action(st0, MINER1, PublishPath(frozenset({2}), GENESIS))
     assert st0.tip() == 1  # same height, block 1 was published earlier
     assert st0.chain_owned(MINER1) == 0
 
@@ -112,7 +124,7 @@ def test_tie_goes_to_the_earlier_publish():
 def test_strictly_longer_branch_displaces_tip():
     st0 = initial_state()
     play_rounds(st0, [MINER2, MINER1, MINER1])
-    apply_action(st0, MINER1, PublishPath(frozenset({2, 3}), GENESIS), in_place=True)
+    attach_action(st0, MINER1, PublishPath(frozenset({2, 3}), GENESIS))
     assert st0.tip() == 3
     assert st0.tip_height() == 2
     assert st0.chain_owned(MINER1) == 2
@@ -123,19 +135,19 @@ def test_strictly_longer_branch_displaces_tip():
 def test_same_round_sibling_tie_respects_publish_order(race_state):
     # two fresh siblings at height 3 in one action: the first one applied
     # (smallest label) wins the tie
-    apply_action(race_state, MINER1, PublishSet(frozenset({3, 4}), ((3, 2), (4, 2))), in_place=True)
+    attach_action(race_state, MINER1, PublishSet(frozenset({3, 4}), ((3, 2), (4, 2))))
     assert race_state.tip() == 3
 
 
 def test_successors_and_chain_helpers(race_state):
-    apply_action(race_state, MINER1, PublishPath(frozenset({3, 4}), 2), in_place=True)
+    attach_action(race_state, MINER1, PublishPath(frozenset({3, 4}), 2))
     assert successors(race_state, 2) == [3, 4]
     assert on_chain(race_state, 4)
     assert chain_path(race_state) == [0, 1, 2, 3, 4]
 
 
 def test_capitulate_locks_a_prefix(race_state):
-    apply_action(race_state, MINER1, PublishPath(frozenset({3, 4}), 2), in_place=True)
+    attach_action(race_state, MINER1, PublishPath(frozenset({3, 4}), 2))
     after = capitulate(race_state, 2)
     assert after.offset == 2
     assert after.tip() == 4
@@ -296,7 +308,8 @@ def test_any_valid_publish_keeps_parents_older(state, data):
         flat = validate_action(state, MINER1, PublishPath(frozenset(blocks), base))
     except InvalidAction:
         return
-    after = apply_action(state, MINER1, flat)
+    after = state.clone()
+    attach_action(after, MINER1, flat)
     for child, parent in after.parent.items():
         assert parent < child
     assert after.tip_height() >= state.tip_height()

@@ -15,7 +15,7 @@ from posmine.blocktree import (
     MINER2,
     WAIT,
     PublishPath,
-    apply_action,
+    attach_action,
     canonical_equal,
     capitulate,
     format_statefile,
@@ -163,9 +163,9 @@ def test_publication_rank_keeps_increasing_across_a_settle():
     # mid-round, then publishes 3 on 2 in the same round: 3 ties 4 on
     # height and has the smaller label, but 4 was published first
     st = play_rounds(initial_state(), [M2, M2, M1, M1])
-    apply_action(st, M1, PublishPath(frozenset({4}), 2), in_place=True)
+    attach_action(st, M1, PublishPath(frozenset({4}), 2))
     st = capitulate(st, 1)
-    apply_action(st, M1, PublishPath(frozenset({3}), 2), in_place=True)
+    attach_action(st, M1, PublishPath(frozenset({3}), 2))
     assert st.tip() == 4
     resettled = capitulate(st, 0)
     assert resettled.tip() == 4

@@ -6,7 +6,9 @@ check's ancestor walk (a set of ancestors back to genesis), the override
 check (which called `is_trimmed` again and set-tested the checkpoints)
 and the reduction wrappers' rank pairing (redone every round).  Each pair
 must give the same value, or raise the same exception type, at every
-half-round and round end of random games, and on malformed actions."""
+half-round and round end of random games, and on malformed actions; on an
+action that `validate_action` rejects, `is_timeserving` must raise the
+error `validate_action` raises."""
 
 import os
 import random
@@ -32,6 +34,7 @@ from posmine.blocktree import (
     desugar,
     on_chain,
     successors,
+    validate_action,
 )
 from posmine.reductions import (
     LcmReduction,
@@ -219,12 +222,25 @@ def probe_actions(state):
     return actions
 
 
+def raised(fn, *args):
+    """The type and message of the exception ``fn`` raises, or None."""
+    try:
+        fn(*args)
+    except Exception as e:  # the failure, its type and message, is compared
+        return type(e), str(e)
+    return None
+
+
 def assert_same_paths(state, actions):
     for action in actions:
         assert outcome(_as_path, state, action) == outcome(reference_as_path, state, action), action
-        assert outcome(is_timeserving, state, action) == outcome(
-            reference_is_timeserving, state, action
-        ), action
+        rejected = raised(validate_action, state, MINER1, action)
+        if rejected is None:
+            assert outcome(is_timeserving, state, action) == outcome(
+                reference_is_timeserving, state, action
+            ), action
+        else:
+            assert raised(is_timeserving, state, action) == rejected, action
 
 
 def equal_height_pairs(state):
@@ -238,8 +254,8 @@ def equal_height_pairs(state):
 
 
 def audit_fork(report):
-    """The audit observer with only its fork-ownership check, filling ``report``."""
-    audit = _Audit(("fork",))
+    """The audit observer, filling ``report`` from its fork-ownership check."""
+    audit = _Audit()
     audit.fork = report
     return audit
 
@@ -255,7 +271,7 @@ class CompareEverywhere:
     against its reference body on the live position."""
 
     def __init__(self):
-        self.cache = _Audit(())._checkpoints
+        self.cache = _Audit()._checkpoints
         self.positions = 0
 
     def _position(self, state):
@@ -315,7 +331,7 @@ def test_monitors_match_their_references(game):
     name, alpha, seed, rounds = game
     trace = run_game(STRATEGIES[name](), alpha, rounds * 4, seed=seed)
     reports = [MonitorReport() for _ in range(4)]
-    audit = _Audit(("fork", "override"))
+    audit = _Audit()
     audit.fork, audit.override = reports[0], reports[2]
     structure.replay_trace(trace, [
         audit,

@@ -75,7 +75,7 @@ def reference_attach_action(state, miner, action):
     return flat
 
 
-TREE = ("parent", "unpublished_1", "unpublished_2", "_pub_seq", "_heights", "_chain_m1", "_tip")
+TREE = ("parent", "unpublished_1", "unpublished_2", "_pub_round", "_heights", "_chain_m1", "_tip")
 
 
 def outcome(fn, state, miner, action):
@@ -95,6 +95,7 @@ def assert_same(state, miner, action):
         assert attach_action(a, miner, action) == reference_attach_action(b, miner, action)
         for name in TREE:
             assert getattr(a, name) == getattr(b, name), (name, action, state)
+        assert list(a._pub_round) == list(b._pub_round), (action, state)  # dict == ignores order
     return ref
 
 
@@ -220,7 +221,7 @@ def test_an_explicit_set_listed_newest_first_still_attaches_oldest_first():
     action = PublishSet(frozenset({1, 2, 3}), ((3, 1), (2, 1), (1, GENESIS)))
     assert_same(state, MINER1, action)
     attach_action(state, MINER1, action)
-    assert state._pub_seq == {GENESIS: (0, 0), 1: (3, 1), 2: (3, 2), 3: (3, 3)}
+    assert list(state._pub_round.items()) == [(GENESIS, 0), (1, 3), (2, 3), (3, 3)]
     assert state._tip == 2
 
 

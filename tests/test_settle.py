@@ -43,7 +43,7 @@ def _max_reachable(state: GameState, b: int) -> int:
 
 def reference_capitulate(state: GameState, c: int) -> GameState:
     """The general settle: survivors by height and reachability, re-pointed,
-    re-ranked and re-cached."""
+    kept in publication order and re-cached."""
     if c < 0 or c > state.tip_height():
         raise BadHeight(f"no chain block at height {c}")
     g = state._tip
@@ -69,15 +69,15 @@ def reference_capitulate(state: GameState, c: int) -> GameState:
         target = anc if anc in keep_pub else GENESIS
         s.creator[v] = state.creator[v]
         s.parent[v] = target
-    for v in sorted(keep_pub, key=state._pub_seq.__getitem__):
-        s._pub_seq[v] = (state._pub_seq[v][0], len(s._pub_seq))
+    for v in sorted(keep_pub, key=list(state._pub_round).index):
+        s._pub_round[v] = state._pub_round[v]
     _rebuild_caches(s)
     return s
 
 
 FIELDS = (
     "parent", "unpublished_1", "unpublished_2", "creator", "round", "offset",
-    "_heights", "_chain_m1", "_pub_seq", "_tip",
+    "_heights", "_chain_m1", "_pub_round", "_tip",
 )
 
 
@@ -85,6 +85,7 @@ def assert_same_settle(state: GameState, c: int) -> None:
     fast, ref = capitulate(state, c), reference_capitulate(state, c)
     for name in FIELDS:
         assert getattr(fast, name) == getattr(ref, name), (name, c, state)
+    assert list(fast._pub_round) == list(ref._pub_round), (c, state)  # dict == ignores order
     assert format_statefile(fast) == format_statefile(ref)
 
 

@@ -59,7 +59,7 @@ def test_shared_reports_equal_each_checks_own_replay(seed):
     # the ladder racer breaks five properties and trips the fork monitor
     tr = run_game(LadderRacer(), 0.4, 800, seed=seed)
     for check, name in CHECKS:
-        own = structure._Audit((name,))
+        own = structure._Audit()
         structure.replay_trace(tr, [own])
         assert check(tr) == getattr(own, name)
 
@@ -104,7 +104,7 @@ def test_returned_reports_are_not_shared():
     assert again.checked > 0 and len(again.violations) == len(fork.violations) - 1
 
 
-def test_a_failing_shared_replay_leaves_each_check_its_own_outcome(monkeypatch):
+def test_a_replay_whose_observer_raises_stores_nothing(monkeypatch, replays):
     tr = run_game(make_strategy("nsm"), 0.45, 400, seed=2)
     want = fork_ownership_check(tr)
     tr._checks = None
@@ -112,8 +112,12 @@ def test_a_failing_shared_replay_leaves_each_check_its_own_outcome(monkeypatch):
     def broken(self, *args):
         raise RuntimeError("classifier observer broke")
 
-    monkeypatch.setattr(structure._Audit, "_classify", broken)
+    with monkeypatch.context() as patched:
+        patched.setattr(structure._Audit, "_classify", broken)
+        for check, _ in CHECKS:
+            with pytest.raises(RuntimeError, match="classifier observer broke"):
+                check(tr)
+            assert tr._checks is None
+    assert len(replays) == 1 + len(CHECKS)  # each failed call replayed again
     assert fork_ownership_check(tr) == want
-    assert checkpoint_override_check(tr).holds
-    with pytest.raises(RuntimeError, match="classifier observer broke"):
-        classify_trace(tr)
+    assert len(replays) == 2 + len(CHECKS) and tr._checks is not None

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -5,11 +10,13 @@ from posmine.blocktree import (
     GENESIS,
     MINER1,
     MINER2,
+    BackwardEdge,
+    DanglingEdge,
     Publish,
     PublishPath,
     PublishSet,
     WAIT,
-    apply_action,
+    attach_action,
     begin_round,
     initial_state,
     parse_statefile,
@@ -60,7 +67,7 @@ def test_withheld_block_delays_the_checkpoint():
     assert checkpoints(st) == [0]
     # publishing the withheld block empties the window; the chain block
     # becomes a checkpoint (the tie-losing block 1 stays off the chain)
-    apply_action(st, M1, PublishPath(frozenset({1}), GENESIS), in_place=True)
+    attach_action(st, M1, PublishPath(frozenset({1}), GENESIS))
     assert checkpoints(st) == [0, 2]
 
 
@@ -159,6 +166,74 @@ def test_wait_counts_as_every_class(race_state):
         assert fn(race_state, WAIT) is True
 
 
+SELF_POINTING = """
+from posmine.blocktree import MINER2, PublishPath, begin_round, initial_state
+from posmine.reductions import lcm_reduce, lcm_step_reduce, orderly_reduce
+from posmine.strategies import StrategyDecision, run_game
+from posmine.structure import is_timeserving
+
+MOVE = PublishPath(frozenset({1}), 1)  # Miner 2's published block 1, on itself
+
+
+class SelfPointing:
+    name = "self-pointing"
+
+    def reset(self):
+        pass
+
+    def attach(self, state):
+        pass
+
+    def decide(self, half):
+        return StrategyDecision(MOVE, False)
+
+
+def report(label, fn, *args):
+    try:
+        fn(*args)
+    except Exception as e:
+        print(label, type(e).__name__, e)
+    else:
+        print(label, "returned")
+
+
+state = initial_state()
+state._publish_one(begin_round(state, MINER2), 0)
+report("is_timeserving", is_timeserving, state, MOVE)
+for label, wrap in [
+    ("orderly", orderly_reduce),
+    ("lcm", lambda inner: lcm_reduce(inner, horizon=5)),
+    ("lcm-step", lambda inner: lcm_step_reduce(inner, step_round=0)),
+]:
+    report(label, run_game, wrap(SelfPointing()), 0.5, 1, None, [MINER2])
+"""
+
+
+def test_a_self_pointing_publish_raises_not_owned_instead_of_hanging():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SELF_POINTING], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    error = "NotOwned block 1 is not an unpublished block of the acting miner"
+    assert proc.stdout.splitlines() == [
+        f"{label} {error}" for label in ("is_timeserving", "orderly", "lcm", "lcm-step")
+    ]
+
+
+@pytest.mark.parametrize("base, error, message", [
+    (1, DanglingEdge, "edge 2->1 points outside the tree and the published set"),  # withheld
+    (9, DanglingEdge, "edge 2->9 points outside the tree and the published set"),  # unknown
+    (3, BackwardEdge, "edge 2->3 must point to a strictly earlier block"),  # published, above
+])
+def test_a_path_on_a_bad_base_raises_what_validation_raises(base, error, message):
+    st = initial_state()
+    play_rounds(st, [M1, M1, M2])  # Miner 1 holds 1 and 2; Miner 2's 3 is on genesis
+    with pytest.raises(error) as err:
+        is_timeserving(st, PublishPath(frozenset({2}), base))
+    assert str(err.value) == message
+
+
 def test_non_path_publish_set_fails_the_path_classes(tie_state):
     begin_round(tie_state, M1)  # block 3 joins block 1 in the pool
     forest = PublishSet(frozenset({1, 3}), ((1, 0), (3, 0)))
@@ -171,7 +246,7 @@ def test_lcm_requires_a_chain_base():
     creators = [M2, M1, M1, M1, M1]
     st = initial_state()
     play_rounds(st, creators)
-    apply_action(st, M1, PublishPath(frozenset({2, 3}), GENESIS), in_place=True)
+    attach_action(st, M1, PublishPath(frozenset({2, 3}), GENESIS))
     # block 1 fell off the chain; forking from it is not longest-chain mining
     act = PublishPath(frozenset({4, 5}), 1)
     assert is_timeserving(st, act) is True
@@ -181,7 +256,7 @@ def test_lcm_requires_a_chain_base():
 def test_trimmed_rejects_a_base_below_an_own_chain_block():
     st = initial_state()
     play_rounds(st, [M2, M1, M1, M1])
-    apply_action(st, M1, PublishPath(frozenset({2}), 1), in_place=True)  # chain 0-1-2
+    attach_action(st, M1, PublishPath(frozenset({2}), 1))  # chain 0-1-2
     act = PublishPath(frozenset({3, 4}), 1)  # skips own chain block 2
     assert is_trimmed(st, act) is False
     act2 = PublishPath(frozenset({3, 4}), 2)  # extends the tip instead
