@@ -12,10 +12,11 @@ probability follows Miner 1's coin balance.
 Renewal cycles, long-game totals, growth series, the decay check and
 dynamic-stake runs of the stock strategies are played by
 `strategies.StockStepper` (through `iter_cycles`, `run_totals` and
-`make_stepper`), which consumes the same draws as the round engine and
-builds no block tree; the decay check reads the one-shot advantage off the
-stepper's node.  `mc_value` starts from a given block tree, so its
-`make_stepper` is always the engine.  Estimators take a strategy or its
+`make_stepper`), which builds no block tree; the decay check reads the
+one-shot advantage off the stepper's node.  `mc_value` starts from a given
+block tree, so its `make_stepper` is always the engine.  Every round loop
+draws as the engine's: Miner 1 creates a round iff `rand() < alpha` (the
+live share in stake runs).  Estimators take a strategy or its
 name; a cycle or episode over its round cap raises `NonRecurrent` (from
 `strategies`).  Fixed tolerances: `crossover` to 1e-9, growth slack 0.01,
 decay threshold 0.02, ruin walks cut at -80.
@@ -40,7 +41,7 @@ from .strategies import (
     DomainError,
     NonRecurrent,
     _check_rounds,
-    _creator_stream,
+    _draw_source,
     derive_seed,
     iter_cycles,
     make_stepper,
@@ -378,16 +379,16 @@ def mc_value(
     """Monte Carlo weighted game reward (1-lam)*R1 - lam*R2 accumulated
     from ``start`` until the strategy settles; ``lam`` must lie in [0, 1].
 
-    Each episode steps ``make_stepper(strategy, start.clone())``, one
-    ``random.Random(seed).random()`` draw a round; R1 and R2 are the
-    settle's chain counts less ``start``'s.  An episode that has not
-    settled after ``cap_rounds`` rounds raises :class:`NonRecurrent`."""
+    Each episode steps ``make_stepper(strategy, start.clone())``, Miner 1
+    creating a round iff ``rand() < alpha``; R1 and R2 are the settle's
+    chain counts less ``start``'s.  An episode unsettled after
+    ``cap_rounds`` rounds raises :class:`NonRecurrent`."""
     _check_alpha(alpha)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must be in [0, 1], got {lam}")
     _check_count("episodes", episodes)
     strategy = make_strategy(strategy)
-    rand = random.Random(seed).random
+    rand = _draw_source(seed)
     s1 = start.chain_owned(MINER1)
     s2 = start.tip_height() - s1
     total = 0.0
@@ -431,9 +432,9 @@ def growth_rate_check(
     _check_alpha(alpha)
     _check_count("rounds", rounds)
     strategy = make_strategy(strategy)
-    heights = np.zeros(rounds, dtype=np.int64)
+    heights = [0] * rounds
     run_totals(strategy, alpha, rounds, seed, heights_out=heights)
-    series = heights / np.arange(1, rounds + 1)
+    series = np.array(heights, dtype=np.int64) / np.arange(1, rounds + 1)
     tail = series[rounds // 2 :]
     tail_min = float(tail.min()) if tail.size else 0.0
     bound = (1 - alpha) - 0.01
@@ -466,10 +467,10 @@ def potential_reward_decay_check(
     strategy = make_strategy(strategy)
     stepper = make_stepper(strategy)
     step, pot = stepper.step, stepper.potential_reward
-    mines = map(MINER1.__eq__, _creator_stream(alpha, seed, creators, rounds))
+    rand = _draw_source(seed, creators, rounds)
     tail_max = 0.0
-    for i, mine in zip(range(1, rounds + 1), mines):
-        step(mine)
+    for i in range(1, rounds + 1):
+        step(rand() < alpha)
         if i > rounds // 2:
             ratio = pot() / i
             if ratio > tail_max:
@@ -504,16 +505,16 @@ def stake_dynamics(
     its creator.  (Blocks only mint once they can no longer be forked.)
 
     ``strategy`` is a name or a strategy object; the rounds are played by
-    ``strategies.make_stepper``, one draw a round.  Raises
-    :class:`MajorityStake` at the first settle that leaves Miner 1 with a
-    share of 1/2 or more."""
+    ``strategies.make_stepper``, Miner 1 creating a round iff ``rand() <
+    frac``, its share before the round.  Raises :class:`MajorityStake` at
+    the first settle that leaves Miner 1 with a share of 1/2 or more."""
     _check_alpha(alpha0)
     if coins < 1:
         raise DomainError("need at least one initial coin")
     _check_rounds(rounds)
     strategy = make_strategy(strategy)
     step = make_stepper(strategy).step
-    rand = random.Random(seed).random
+    rand = _draw_source(seed)
     m1 = round(alpha0 * coins)
     total = coins
     out = StakeSeries(alpha0=alpha0, coins0=coins)

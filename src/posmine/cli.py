@@ -333,7 +333,7 @@ def stake(strategy_id, alpha0, coins, rounds, seed, out):
         csv.append(_csv(
             "stake",
             "round,stake",
-            (f"{i + 1},{_fmt(frac)}" for i, frac in enumerate(series.fractions)),
+            (f"{i},{frac:.12g}" for i, frac in enumerate(series.fractions, 1)),
             strategy=strategy_id, alpha0=alpha0, coins=coins, rounds=rounds, seed=seed,
         ))
 

@@ -54,7 +54,7 @@ from .blocktree import (
     on_chain,
     successors,
 )
-from .strategies import StrategyDecision, UnreachableState, _creator_stream
+from .strategies import StrategyDecision, UnreachableState, _draw_source
 from .structure import (
     _as_path,
     _publishes_nothing,
@@ -438,9 +438,9 @@ class DeferredPublicationPlan:
     def execute(self, alpha: float, seed: Optional[int] = None) -> PlanOutcome:
         """Drive the plan with fresh creator draws until it fires, for at
         most 10**7 rounds in all."""
-        creators = _creator_stream(alpha, seed)
+        rand = _draw_source(seed)
         while self.ticks < 10**7:
-            act = self.tick(next(creators))
+            act = self.tick(MINER1 if rand() < alpha else MINER2)
             if act is not None:
                 return PlanOutcome(act, self.ticks, len(self.interim))
         raise RuntimeError(f"plan did not fire within {10**7} rounds")

@@ -11,10 +11,11 @@ package's only round loop over a block tree: trace replay
 observer hooks.  The engine is also a stepper: ``step(mine)`` plays one
 round and reports the settle payoff, so every estimator loops over
 :func:`make_stepper`.  The one shortcut is :class:`StockStepper`, which
-plays the stock strategies one round at a time as small automata over the
-same creator draws, with no block tree; :func:`make_stepper` returns it for
-those exact types from a fresh game and the engine for every other
-strategy or start position.
+plays the stock strategies one round at a time as small automata, with no
+block tree; :func:`make_stepper` returns it for those exact types from a
+fresh game and the engine for every other strategy or start position.
+Every round loop draws its creator one way: Miner 1 makes the round's
+block iff ``rand() < alpha``, with ``rand`` from :func:`_draw_source`.
 
 Strategies included: the frontier policy (publish immediately, always
 capitulate), withhold-and-overtake (hold a private lead, publish it all when
@@ -30,7 +31,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from math import inf
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .blocktree import (
     MINER1,
@@ -490,26 +492,22 @@ class CycleStats(NamedTuple):
     rounds: int
 
 
-def _creator_stream(
-    alpha: float, seed: Optional[int], explicit=None, needed: Optional[int] = None
-) -> Iterator[int]:
-    """The creator of each round: the ``explicit`` list if one is given
-    (it must hold at least ``needed`` entries, each 1 or 2), else Miner 1
-    with probability ``alpha`` from ``random.Random(seed)``, one draw a
-    round."""
-    if explicit is None:
-        return _draws(alpha, random.Random(seed))
-    if needed is not None and len(explicit) < needed:
-        raise ValueError(f"{len(explicit)} creators given, {needed} needed")
-    for c in explicit[:needed]:
+def _draw_source(seed: Optional[int], creators=None, needed=None) -> Callable[[], float]:
+    """The one round draw: Miner 1 creates the round's block iff ``rand() <
+    alpha``.  Seeded, ``rand`` is ``random.Random(seed).random``.  An
+    explicit ``creators`` list (at least ``needed`` entries, each 1 or 2)
+    replays as -inf for Miner 1 and +inf for Miner 2, so the same
+    comparison gives its creators back at any alpha."""
+    if creators is None:
+        return random.Random(seed).random
+    if needed is not None and len(creators) < needed:
+        raise ValueError(f"{len(creators)} creators given, {needed} needed")
+    draws = []
+    for c in creators[:needed]:
         if c != MINER1 and c != MINER2:
             raise ValueError(f"creator must be 1 or 2, got {c}")
-    return iter(explicit)
-
-
-def _draws(alpha: float, rng: random.Random) -> Iterator[int]:
-    while True:
-        yield MINER1 if rng.random() < alpha else MINER2
+        draws.append(-inf if c == MINER1 else inf)
+    return iter(draws).__next__
 
 
 def run_game(
@@ -524,7 +522,7 @@ def run_game(
     eng = Engine(strategy)
     name = getattr(strategy, "name", strategy.__class__.__name__)
     trace = Trace(strategy=name, alpha=alpha, seed=seed)
-    stream = _creator_stream(alpha, seed, creators, rounds)
+    rand = _draw_source(seed, creators, rounds)
     play = eng.play
     add_creator, add_action, add_m2_base, add_cap = (
         trace.creators.append, trace.m1_actions.append, trace.m2_bases.append, trace.cap_flags.append
@@ -532,7 +530,8 @@ def run_game(
     add_tip, add_height, add_r1, add_r2 = (
         trace.tips.append, trace.heights.append, trace.r1.append, trace.r2.append
     )
-    for _, creator in zip(range(rounds), stream):
+    for _ in range(rounds):
+        creator = MINER1 if rand() < alpha else MINER2
         action, m2_base, r1, r2, capped = play(creator)
         st = eng.state
         add_creator(creator)
@@ -686,16 +685,16 @@ def run_totals(
     heights_out=None,
 ) -> GameTotals:
     """Totals only, played by :func:`make_stepper` (no block tree for the
-    stock strategies); optionally fill a preallocated per-round chain-height
-    array (for growth-rate checks).  Same draws and totals as
-    :func:`run_game`."""
+    stock strategies), Miner 1 creating a round iff ``rand() < alpha`` as in
+    :func:`run_game`, so the totals agree; optionally fill a preallocated
+    per-round chain-height sequence (for growth-rate checks)."""
     _check_rounds(rounds)
     stepper = make_stepper(strategy)
     step, height = stepper.step, stepper.height
-    mines = map(MINER1.__eq__, _creator_stream(alpha, seed, creators, rounds))
+    rand = _draw_source(seed, creators, rounds)
     t1 = t2 = caps = 0
-    for i, mine in zip(range(rounds), mines):
-        settled = step(mine)
+    for i in range(rounds):
+        settled = step(rand() < alpha)
         if settled is not None:
             t1 += settled[0]
             t2 += settled[1]
@@ -721,13 +720,13 @@ def iter_cycles(
     """Yield per-cycle chain rewards, a cycle being settle-to-settle.
 
     The rounds are played by :func:`make_stepper`: a :class:`StockStepper`
-    for the exact stock types, the :class:`Engine` for any other strategy.
-    Both draw one ``random.Random(seed).random()`` a round and yield the
-    same cycles.  Raises :class:`NonRecurrent` as soon as a cycle reaches
+    for the exact stock types, the :class:`Engine` for any other strategy;
+    Miner 1 creates a round iff ``rand() < alpha``, so both yield the same
+    cycles.  Raises :class:`NonRecurrent` as soon as a cycle reaches
     ``cycle_cap`` rounds without settling.
     """
     step = make_stepper(strategy).step
-    rand = random.Random(seed).random
+    rand = _draw_source(seed)
     rounds = 0
     while True:
         rounds += 1

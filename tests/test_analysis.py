@@ -37,10 +37,10 @@ from posmine.strategies import (
     Frontier,
     PatientWithholdOvertake,
     StockStepper,
-    _creator_stream,
     derive_seed,
     make_stepper,
 )
+from creator_reference import creator_stream as _creator_stream
 
 M1, M2 = MINER1, MINER2
 

@@ -36,7 +36,8 @@ from posmine.blocktree import (
     to_dot,
     validate_action,
 )
-from posmine.strategies import Engine, _creator_stream, make_strategy
+from posmine.strategies import Engine, make_strategy
+from creator_reference import creator_stream as _creator_stream
 from conftest import LadderRacer, TopHeavyRacer, play_rounds
 
 
